@@ -9,8 +9,9 @@ from a report).
 
 Options may come from a JSON config file (--config) mirroring the
 experiment configuration; explicit flags override it, and the effective
-configuration is echoed into every report. With a fixed --seed every run
-writes byte-identical files.
+configuration is echoed into every report, except --threads, which never
+changes results. With a fixed --seed every run writes byte-identical files,
+whatever the thread count.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
 4 I/O error.
@@ -337,7 +338,7 @@ def _cmd_fit(args) -> int:
     report = ReportDocument.build(
         kind="fit", seed=eff["seed"],
         config={k: eff[k] for k in ("method", "permutations", "bootstraps", "splits",
-                                    "pca_components", "threads")},
+                                    "pca_components")},
         sections={"full_sample": full_sample_section(result)},
     )
     _emit(report, eff, "fit")
@@ -374,8 +375,7 @@ def _cmd_bootstrap(args) -> int:
         sections[f"bootstrap_{method}"] = bootstrap_section(res, x.labels, y.labels)
     report = ReportDocument.build(
         kind="bootstrap", seed=eff["seed"],
-        config={"method": eff["method"], "bootstraps": eff["bootstraps"],
-                "threads": eff["threads"]},
+        config={"method": eff["method"], "bootstraps": eff["bootstraps"]},
         sections=sections,
     )
     _emit(report, eff, "bootstrap")
@@ -437,8 +437,7 @@ def _cmd_sweep(args) -> int:
     report = ReportDocument.build(
         kind=f"sweep-{args.kind}", seed=eff["seed"],
         config={k: eff[k] for k in ("method", "permutations", "splits", "iterations",
-                                    "sample_sizes", "alpha", "pca_components",
-                                    "threads")},
+                                    "sample_sizes", "alpha", "pca_components")},
         sections={"subsample": subsample_section(report_data)},
     )
     _emit(report, eff, f"sweep_{args.kind}")

@@ -22,10 +22,12 @@ exceed the X variable count and the within-block correlation matrix must be
 full rank. Split-based assessments additionally need each half to clear the
 same bar.
 
-Every cell derives its randomness from (seed, purpose, sample size,
-iteration index), so reports are a pure function of (population data,
-config) for any thread count. Both methods see identical subsamples and
-identical permutation streams, which keeps their comparison paired.
+The subsamples of one sample size are one batch drawn from the
+(seed, "subsample", size) generator, and each subsample's permutations come
+from a seed derived from (seed, purpose, size, iteration). Reports are
+therefore a pure function of (population data, config) for any thread
+count. Both methods see identical subsamples and one shared permutation
+matrix per subsample, which keeps their comparison paired.
 """
 
 from dataclasses import dataclass, field
@@ -48,9 +50,10 @@ from .inference import (
     PermutationResult,
     bartlett_test,
     bootstrap_ci,
+    permutation_matrix,
     permutation_test,
 )
-from .parallel import parallel_map
+from .parallel import map_draws
 from .pca import PcaModel, align_to_reference, component_scores, fit_pca
 from .reproducibility import (
     SplitHalfReport,
@@ -296,9 +299,14 @@ def _check_population(x: DataBlock, y: DataBlock, config: ExperimentConfig):
         )
 
 
-def _draw_subsample(seed: int, size: int, iteration: int, n: int) -> np.ndarray:
-    rng = substream(seed, "subsample", size, iteration)
-    return rng.choice(n, size, replace=False)
+def _subsample_draw(seed: int, size: int, n: int):
+    """Draw function for one sample size's batch of row subsets.
+
+    Subsample i is the i-th ``choice(n, size, replace=False)`` taken from
+    the (seed, "subsample", size) generator.
+    """
+    batch = substream(seed, "subsample", size)
+    return lambda k: [batch.choice(n, size, replace=False) for _ in range(k)]
 
 
 def _subsample_blocks(x, y, idx, pca_reference):
@@ -315,10 +323,11 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
     """Rejection rates by sample size.
 
     For each sample size, ``n_iterations`` subsamples are drawn without
-    replacement; each gets a fresh permutation test per method and LV k
-    counts as detected when its p-value is at or below alpha. Per-iteration
-    failures (a constant column in a tiny draw, a rank-deficient CCA
-    subsample above the size guard) are recorded as skips, not fatal.
+    replacement; each gets one permutation matrix, tested against every
+    method, and LV k counts as detected when its p-value is at or below
+    alpha. Per-iteration failures (a constant column in a tiny draw, a
+    rank-deficient CCA subsample above the size guard) are recorded as
+    skips, not fatal.
     """
     _check_population(x, y, config)
     pca_reference = None
@@ -333,21 +342,25 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
         blocked = {m: _cca_sample_guard(size, p_effective) if m == CCA else None
                    for m in config.methods}
 
-        def one(i: int, size=size, blocked=blocked):
-            idx = _draw_subsample(config.seed, size, i, x.n)
+        def one(i: int, idx: np.ndarray, size=size, blocked=blocked):
             try:
                 xs, ys = _subsample_blocks(x, y, idx, pca_reference)
             except ConstantColumn as exc:
                 return {m: ("skip", str(exc)) for m in config.methods}
-            perm_seed = derive_seed(config.seed, "detect-permutation", size, i)
+            perms = None
             out = {}
             for method in config.methods:
                 if blocked[method] is not None:
                     out[method] = ("blocked", blocked[method])
                     continue
+                if perms is None:
+                    perms = permutation_matrix(
+                        derive_seed(config.seed, "detect-permutation", size, i),
+                        config.n_perm, size,
+                    )
                 try:
                     res = permutation_test(
-                        xs, ys, method, n_perm=config.n_perm, seed=perm_seed
+                        xs, ys, method, n_perm=config.n_perm, permutations=perms
                     )
                 except (RankDeficient, MissingOmega, ConstantColumn) as exc:
                     out[method] = ("skip", str(exc))
@@ -355,7 +368,8 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
                 out[method] = ("ok", res.p_values)
             return out
 
-        results = parallel_map(one, config.n_iterations, config.threads)
+        results = map_draws(one, _subsample_draw(config.seed, size, x.n),
+                            config.n_iterations, size, config.threads)
         for method in config.methods:
             if blocked[method] is not None:
                 for lv in range(1, r + 1):
@@ -433,8 +447,7 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
                     reason = "half-sample rank guard: " + reason
             blocked[m] = reason
 
-        def one(i: int, size=size, blocked=blocked):
-            idx = _draw_subsample(config.seed, size, i, x.n)
+        def one(i: int, idx: np.ndarray, size=size, blocked=blocked):
             try:
                 xs, ys = _subsample_blocks(x, y, idx, pca_reference)
             except ConstantColumn as exc:
@@ -459,7 +472,8 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
                 out[method] = ("ok", (tt.z, sh.z_u, sh.z_v))
             return out
 
-        results = parallel_map(one, config.n_iterations, config.threads)
+        results = map_draws(one, _subsample_draw(config.seed, size, x.n),
+                            config.n_iterations, size, config.threads)
         for method in config.methods:
             if blocked[method] is not None:
                 for lv in range(1, r + 1):

@@ -26,8 +26,8 @@ from .decomposition import (
     check_method,
 )
 from .errors import ConstantColumn, MethodMismatch, ObservationMismatch, RankDeficient, ResamplingError
-from .parallel import parallel_map
-from .rng import substream
+from .parallel import map_draws
+from .rng import permutation_rows, substream
 
 _PERM_CHUNK_ELEMENTS = 4_000_000
 _BOOT_MAX_RETRIES = 100
@@ -89,6 +89,15 @@ def _prepared_arrays(x: DataBlock, y: DataBlock):
     return xz, yz
 
 
+def permutation_matrix(seed: int, n_perm: int, n: int) -> np.ndarray:
+    """The (n_perm, n) row permutations ``permutation_test`` draws for ``seed``.
+
+    Row i is the i-th permutation taken from the (seed, "permutation")
+    generator, so the first k rows do not depend on n_perm.
+    """
+    return permutation_rows(substream(seed, "permutation"), (n_perm, n))
+
+
 def permutation_test(
     x: DataBlock,
     y: DataBlock,
@@ -102,8 +111,9 @@ def permutation_test(
     Y rows are reshuffled uniformly at random each iteration while X stays
     fixed, the model is refitted, and LV k's observed singular value is
     compared against the distribution of permuted LV-k values. Permutation
-    i draws its indices from the (seed, "permutation", i) substream, so
-    results are reproducible regardless of execution order.
+    i is row i of ``permutation_matrix(seed, n_perm, n)``: the i-th
+    permutation drawn from the (seed, "permutation") generator. The matrix
+    is drawn before any SVD, so the chunk size never changes results.
 
     Because a row permutation leaves each block's own correlation matrix
     unchanged, the within-block adjustment for CCA is computed once from the
@@ -112,8 +122,8 @@ def permutation_test(
     Parameters
     ----------
     permutations : optional (n_perm, n) integer array
-        Explicit permutations to use instead of random draws (for exact or
-        forced-null checks).
+        Explicit permutations to use instead of random draws: exact or
+        forced-null checks, or one matrix shared by several methods.
     """
     method = check_method(method)
     if n_perm < 1:
@@ -132,9 +142,7 @@ def permutation_test(
         observed_s = np.minimum(observed_s, 1.0)
 
     if permutations is None:
-        permutations = np.empty((n_perm, n), dtype=np.intp)
-        for i in range(n_perm):
-            permutations[i] = substream(seed, "permutation", i).permutation(n)
+        permutations = permutation_matrix(seed, n_perm, n)
     else:
         permutations = np.asarray(permutations)
         if permutations.shape != (n_perm, n):
@@ -177,10 +185,12 @@ def bootstrap_ci(
     distribution includes the observed scaled weights alongside the n_boot
     resampled draws.
 
-    Draws that produce a constant column, or that fail the CCA rank guard,
-    are redrawn from the same iteration stream up to 100 times before the
-    iteration aborts with a diagnostic; silently skipping draws would bias
-    the distribution.
+    Draw i takes its row indices from the i-th ``integers(0, n, n)`` of the
+    (seed, "bootstrap") generator. A draw that produces a constant column,
+    or that fails the CCA rank guard, is redrawn for that slot only, from
+    the (seed, "bootstrap-retry", i) generator, up to 100 attempts in all
+    before the iteration aborts with a diagnostic; silently skipping draws
+    would bias the distribution.
     """
     method = check_method(method)
     if n_boot < 100:
@@ -192,15 +202,18 @@ def bootstrap_ci(
     xv, yv = x.values, y.values
     n = xv.shape[0]
 
-    def one(i: int):
-        rng = substream(seed, "bootstrap", i)
+    batch = substream(seed, "bootstrap")
+
+    def one(i: int, idx: np.ndarray):
+        redraws = None
         for _ in range(_BOOT_MAX_RETRIES):
-            idx = rng.integers(0, n, n)
             try:
                 ub, sb, vb, _ = _fit_zscored(
                     _zscore_values(xv[idx]), _zscore_values(yv[idx]), method
                 )
             except (ConstantColumn, RankDeficient):
+                redraws = redraws or substream(seed, "bootstrap-retry", i)
+                idx = redraws.integers(0, n, n)
                 continue
             ub, vb, _ = align_reflections(u_obs, ub, vb)
             return ub * sb, vb * sb
@@ -208,7 +221,7 @@ def bootstrap_ci(
             f"bootstrap iteration {i} produced {_BOOT_MAX_RETRIES} degenerate draws in a row"
         )
 
-    draws = parallel_map(one, n_boot, threads)
+    draws = map_draws(one, lambda k: batch.integers(0, n, (k, n)), n_boot, n, threads)
     us_draws = np.stack([d[0] for d in draws] + [us_obs])
     vs_draws = np.stack([d[1] for d in draws] + [vs_obs])
     us_lower, us_upper = np.percentile(us_draws, [2.5, 97.5], axis=0)

@@ -26,6 +26,7 @@ from .harness import FullSampleResult, SubsampleReport
 from .inference import BartlettResult, BootstrapResult, PermutationResult
 from .pca import PcaModel, PcaStabilityResult
 from .reproducibility import SplitHalfReport, TrainTestReport
+from .rng import STREAM_CONTRACT
 
 SCHEMA_VERSION = 1
 
@@ -154,6 +155,7 @@ class ReportDocument:
                         "version": __version__,
                         "kind": kind,
                         "seed": seed,
+                        "stream_contract": STREAM_CONTRACT,
                         "created_at": _timestamp(),
                         "config": config,
                     },

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blocks import DataBlock, _zscore_values
 from .errors import ConstantColumn, ShapeMismatch
-from .parallel import parallel_map
+from .parallel import map_draws
 from .rng import substream
 
 _CONSTANT_SD = 1e-12
@@ -159,14 +159,15 @@ def pca_stability(
     component at the same position is recorded; z = mean / sd of that
     distribution.
 
-    Each subsample's eigenvectors are given an explicitly random orientation
-    drawn from the iteration substream, reproducing the arbitrary
-    per-fit reflections that resampled eigenvectors carry in general (the
-    orientation an eigensolver happens to return is not meaningful). With
-    ``with_alignment`` the reflections are corrected against the population
-    fit before the cosines are taken, which cancels the random orientation;
-    without it the signed cosines show how badly uncorrected reflections
-    corrupt the average.
+    Draw i of a sample size is the i-th (row subset, orientation) pair taken
+    from the (seed, "pca-stability", size) generator. Each subsample's
+    eigenvectors are given that explicitly random orientation, reproducing
+    the arbitrary per-fit reflections that resampled eigenvectors carry in
+    general (the orientation an eigensolver happens to return is not
+    meaningful). With ``with_alignment`` the reflections are corrected
+    against the population fit before the cosines are taken, which cancels
+    the random orientation; without it the signed cosines show how badly
+    uncorrected reflections corrupt the average.
     """
     pop = fit_pca(population)
     n = population.n
@@ -181,19 +182,23 @@ def pca_stability(
     mean = np.empty((len(sample_sizes), n_pc))
     sd = np.empty_like(mean)
     for row, size in enumerate(sample_sizes):
+        batch = substream(seed, "pca-stability", size)
 
-        def one(i: int, size=size):
-            rng = substream(seed, "pca-stability", size, i)
-            idx = rng.choice(n, size, replace=False)
-            sub = _fit_values(values[idx], 0.98)
-            orientation = rng.integers(0, 2, sub.k) * 2.0 - 1.0
-            vecs = sub.eigenvectors * orientation
+        def draw(k: int):
+            return [
+                (batch.choice(n, size, replace=False), batch.integers(0, 2, pop.k) * 2.0 - 1.0)
+                for _ in range(k)
+            ]
+
+        def one(i: int, d):
+            idx, orientation = d
+            vecs = _fit_values(values[idx], 0.98).eigenvectors * orientation
             if with_alignment:
                 cosines = np.einsum("ij,ij->j", pop.eigenvectors, vecs)
                 vecs = vecs * np.where(cosines < 0, -1.0, 1.0)
             return np.einsum("ij,ij->j", ref, vecs[:, :n_pc])
 
-        draws = np.stack(parallel_map(one, n_iter, threads))
+        draws = np.stack(map_draws(one, draw, n_iter, size + pop.k, threads))
         mean[row] = draws.mean(axis=0)
         sd[row] = draws.std(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,8 +25,8 @@ import numpy as np
 from .blocks import DataBlock, _zscore_values
 from .decomposition import _cross_matrix, _fit_zscored, check_method
 from .errors import ConstantColumn, ObservationMismatch, RankDeficient
-from .parallel import parallel_map
-from .rng import substream
+from .parallel import map_draws
+from .rng import permutation_rows, substream
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,9 @@ def _distribution_z(draws: np.ndarray):
     return z, degenerate
 
 
-def _half_indices(rng: np.random.Generator, n: int):
-    """Random disjoint halves covering all rows; the larger half trains."""
-    perm = rng.permutation(n)
-    cut = (n + 1) // 2
+def _half_indices(perm: np.ndarray):
+    """Split a row permutation into disjoint halves; the larger half trains."""
+    cut = (perm.shape[0] + 1) // 2
     return perm[:cut], perm[cut:]
 
 
@@ -83,36 +82,57 @@ def _checked_blocks(x: DataBlock, y: DataBlock, n_split: int):
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
-    return x.values, y.values
+    return x.values, y.values, (x.labels, y.labels)
 
 
-def _split_train_test(xv, yv, method, rng):
-    train, test = _half_indices(rng, xv.shape[0])
-    u, s, v, _ = _fit_zscored(
-        _zscore_values(xv[train]), _zscore_values(yv[train]), method
-    )
-    m_test = _cross_matrix(_zscore_values(xv[test]), _zscore_values(yv[test]), method)
+def _zscored_rows(xv, yv, rows, labels):
+    return _zscore_values(xv[rows], labels[0]), _zscore_values(yv[rows], labels[1])
+
+
+def _split_train_test(xv, yv, method, perm, labels):
+    train, test = _half_indices(perm)
+    u, _, v, _ = _fit_zscored(*_zscored_rows(xv, yv, train, labels), method)
+    m_test = _cross_matrix(*_zscored_rows(xv, yv, test, labels), method)
     return np.einsum("ij,ik,kj->j", u, m_test, v)
 
 
-def _split_cosines(xv, yv, method, rng):
-    half1, half2 = _half_indices(rng, xv.shape[0])
-    u1, _, v1, _ = _fit_zscored(
-        _zscore_values(xv[half1]), _zscore_values(yv[half1]), method
-    )
-    u2, _, v2, _ = _fit_zscored(
-        _zscore_values(xv[half2]), _zscore_values(yv[half2]), method
-    )
+def _split_both(xv, yv, method, perm, labels):
+    """Fit both halves of one partition; return the train/test diagonal (the
+    first half trains) and the absolute diagonal cosines of U and of V."""
+    half1, half2 = _half_indices(perm)
+    u1, _, v1, _ = _fit_zscored(*_zscored_rows(xv, yv, half1, labels), method)
+    u2, _, v2, m2 = _fit_zscored(*_zscored_rows(xv, yv, half2, labels), method)
     return (
+        np.einsum("ij,ik,kj->j", u1, m2, v1),
         np.abs(np.einsum("ij,ij->j", u1, u2)),
         np.abs(np.einsum("ij,ij->j", v1, v2)),
     )
 
 
-def _collect(results):
-    """Split (draws, failures) out of a list of per-iteration outcomes."""
-    ok = [r for r in results if r is not None]
-    return ok, len(results) - len(ok)
+def _run_splits(split, seed: int, purpose: str, shape: tuple, n_split: int, threads: int):
+    """Run split(d_i) for i in range(n_split).
+
+    d_i is the i-th array of row permutations of the given shape drawn from
+    the (seed, purpose) generator. Returns the outcomes of the splits that
+    completed and the count of splits that failed the rank guard or hit a
+    constant column. When every split fails, the first split's own error is
+    raised, so the message names the block and the cause.
+    """
+
+    def one(i, d):
+        try:
+            return split(d)
+        except (RankDeficient, ConstantColumn) as exc:
+            return exc
+
+    batch = substream(seed, purpose)
+    results = map_draws(
+        one, lambda k: permutation_rows(batch, (k, *shape)), n_split, int(np.prod(shape)), threads
+    )
+    done = [r for r in results if not isinstance(r, Exception)]
+    if not done:
+        raise results[0]
+    return done, n_split - len(done)
 
 
 def train_test(
@@ -125,25 +145,19 @@ def train_test(
 ) -> TrainTestReport:
     """Train/test assessment of the singular values over random splits.
 
-    Iteration i partitions the rows using the (seed, "train-test", i)
-    substream, fits on the training half, and projects the test half's
-    cross-block matrix through the training vectors. For CCA both halves
-    must pass the rank guard; a failing split is recorded and skipped, and
-    the whole call raises RankDeficient only if every split fails.
+    Iteration i partitions the rows by the i-th permutation drawn from the
+    (seed, "train-test") generator, fits on the training half, and projects
+    the test half's cross-block matrix through the training vectors. For
+    CCA both halves must pass the rank guard; a failing split is recorded
+    and skipped, and only if every split fails does the call raise the
+    first split's RankDeficient or ConstantColumn.
     """
     method = check_method(method)
-    xv, yv = _checked_blocks(x, y, n_split)
-
-    def one(i: int):
-        rng = substream(seed, "train-test", i)
-        try:
-            return _split_train_test(xv, yv, method, rng)
-        except (RankDeficient, ConstantColumn):
-            return None
-
-    draws, n_failed = _collect(parallel_map(one, n_split, threads))
-    if not draws:
-        raise RankDeficient("x", float("nan"), float("nan"))
+    xv, yv, labels = _checked_blocks(x, y, n_split)
+    draws, n_failed = _run_splits(
+        lambda perm: _split_train_test(xv, yv, method, perm, labels),
+        seed, "train-test", (x.n,), n_split, threads,
+    )
     s_test = np.stack(draws)
     z, degenerate = _distribution_z(s_test)
     return TrainTestReport(
@@ -161,24 +175,18 @@ def split_half(
 ) -> SplitHalfReport:
     """Similarity of singular vectors fitted on disjoint half-samples.
 
-    Iteration i partitions the rows using the (seed, "split-half", i)
-    substream and records |diag(U1.T U2)| and |diag(V1.T V2)|.
+    Iteration i partitions the rows by the i-th permutation drawn from the
+    (seed, "split-half") generator and records |diag(U1.T U2)| and
+    |diag(V1.T V2)|. Failed splits are handled as in ``train_test``.
     """
     method = check_method(method)
-    xv, yv = _checked_blocks(x, y, n_split)
-
-    def one(i: int):
-        rng = substream(seed, "split-half", i)
-        try:
-            return _split_cosines(xv, yv, method, rng)
-        except (RankDeficient, ConstantColumn):
-            return None
-
-    draws, n_failed = _collect(parallel_map(one, n_split, threads))
-    if not draws:
-        raise RankDeficient("x", float("nan"), float("nan"))
-    u_cos = np.stack([d[0] for d in draws])
-    v_cos = np.stack([d[1] for d in draws])
+    xv, yv, labels = _checked_blocks(x, y, n_split)
+    draws, n_failed = _run_splits(
+        lambda perm: _split_both(xv, yv, method, perm, labels),
+        seed, "split-half", (x.n,), n_split, threads,
+    )
+    u_cos = np.stack([d[1] for d in draws])
+    v_cos = np.stack([d[2] for d in draws])
     z_u, degenerate_u = _distribution_z(u_cos)
     z_v, degenerate_v = _distribution_z(v_cos)
     return SplitHalfReport(
@@ -206,29 +214,20 @@ def null_calibration(
     Iteration i permutes the Y rows once (breaking the cross-block
     association) before splitting, then computes the train/test diagonal
     and the split-half cosines on the same permuted data and partition.
-    Comparing these reports against the unpermuted ones shows how much of
-    an observed z score mere dimensionality produces.
+    Draw i is the i-th pair of permutations from the (seed,
+    "null-calibration") generator: the first reorders Y, the second is the
+    partition. Comparing these reports against the unpermuted ones shows
+    how much of an observed z score mere dimensionality produces.
     """
     method = check_method(method)
-    xv, yv = _checked_blocks(x, y, n_split)
-    n = xv.shape[0]
-
-    def one(i: int):
-        rng = substream(seed, "null-calibration", i)
-        y_perm = yv[rng.permutation(n)]
-        try:
-            s_test = _split_train_test(xv, y_perm, method, rng)
-            cos = _split_cosines(xv, y_perm, method, rng)
-        except (RankDeficient, ConstantColumn):
-            return None
-        return s_test, cos
-
-    results, n_failed = _collect(parallel_map(one, n_split, threads))
-    if not results:
-        raise RankDeficient("x", float("nan"), float("nan"))
+    xv, yv, labels = _checked_blocks(x, y, n_split)
+    results, n_failed = _run_splits(
+        lambda pair: _split_both(xv, yv[pair[0]], method, pair[1], labels),
+        seed, "null-calibration", (2, x.n), n_split, threads,
+    )
     s_test = np.stack([r[0] for r in results])
-    u_cos = np.stack([r[1][0] for r in results])
-    v_cos = np.stack([r[1][1] for r in results])
+    u_cos = np.stack([r[1] for r in results])
+    v_cos = np.stack([r[2] for r in results])
     z, degenerate = _distribution_z(s_test)
     z_u, degenerate_u = _distribution_z(u_cos)
     z_v, degenerate_v = _distribution_z(v_cos)

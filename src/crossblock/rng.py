@@ -1,21 +1,31 @@
-"""Deterministic random streams.
+"""Deterministic random streams (stream contract 2).
 
 All randomness flows through counter-based Philox generators keyed by a
-master seed plus a path of purpose tags and indices. Two consequences:
+master seed plus a path of purpose tags and context values, for example
+(seed, "bootstrap") or (seed, "subsample", sample size). One key serves a
+whole batch of draws: draw i of a batch is the i-th draw taken from the
+batch's generator in index order. Consequences:
 
-* results are identical across platforms and across any degree of
-  parallelism, because stream i never depends on how streams 0..i-1 were
-  scheduled;
-* every resampling iteration can be recomputed in isolation from
-  (seed, purpose, index).
+* the key is hashed once per batch, not once per draw;
+* a batch is always drawn in index order in the calling thread, before any
+  work is handed to worker threads, so results are identical across
+  platforms, thread counts and chunk sizes;
+* draw i does not depend on the batch size: the first 100 of 250
+  permutations are the 100 permutations a 100-draw batch produces.
 
 String tags are folded to integers with crc32, which is stable across
 platforms and Python versions.
+
+``STREAM_CONTRACT`` versions this derivation and is written into every
+report's metadata. Contract 1 built one generator per draw, keyed by
+(seed, purpose, index).
 """
 
 import zlib
 
 import numpy as np
+
+STREAM_CONTRACT = 2
 
 
 def _encode(part) -> int:
@@ -36,3 +46,12 @@ def derive_seed(seed: int, *path) -> int:
     """Derive a child integer seed for handing to a nested seeded operation."""
     entropy = [_encode(seed)] + [_encode(p) for p in path]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def permutation_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Permutations of range(shape[-1]) along the last axis, drawn from ``gen``.
+
+    The permutations are taken in C order: for shape (k, n), row i equals
+    the i-th ``gen.permutation(n)`` drawn in sequence.
+    """
+    return gen.permuted(np.broadcast_to(np.arange(shape[-1]), shape), axis=-1)

@@ -219,6 +219,29 @@ class TestCli:
         assert self.run(*args, "--out-dir", str(out2)) == 0
         assert (out1 / "fit.json").read_bytes() == (out2 / "fit.json").read_bytes()
 
+    @pytest.mark.parametrize("command", [
+        ("fit", "--permutations", "20", "--bootstraps", "100", "--splits", "6"),
+        ("bootstrap", "--bootstraps", "100"),
+        ("sweep", "--kind", "detectability", "--iterations", "4", "--permutations", "20",
+         "--splits", "4", "--sample-sizes", "60,30"),
+    ])
+    def test_reports_identical_across_thread_counts(self, tmp_path, command):
+        data = tmp_path / "data"
+        self.run("simulate", "null", "--n", "150", "--p", "3", "--q", "2",
+                 "--seed", "4", "--out-dir", str(data))
+        args = (*command, "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                "--seed", "11")
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert self.run(*args, "--threads", threads, "--out-dir", str(out)) == 0
+            [path] = out.glob("*.json")
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        metadata = json.loads(reports[0])["metadata"]
+        assert metadata["stream_contract"] == 2
+        assert "threads" not in metadata["config"]
+
     def test_simulate_subspace_writes_truth(self, tmp_path):
         data = tmp_path / "sub"
         assert self.run("simulate", "subspace", "--n", "100", "--p", "8",

@@ -12,15 +12,8 @@ from crossblock import (
     train_test,
 )
 from crossblock.decomposition import CCA, PLS
-from crossblock.errors import RankDeficient
+from crossblock.errors import ConstantColumn, RankDeficient
 from crossblock.reproducibility import _half_indices, _split_train_test
-
-
-class _ArangeRng:
-    """Stub generator whose permutation is the identity order."""
-
-    def permutation(self, n):
-        return np.arange(n)
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -34,14 +27,14 @@ class TestPartition:
     def test_halves_disjoint_and_cover(self):
         rng = np.random.default_rng(0)
         for n in (4, 7, 10, 501):
-            a, b = _half_indices(rng, n)
+            a, b = _half_indices(rng.permutation(n))
             assert len(a) == (n + 1) // 2
             assert len(a) + len(b) == n
             assert len(set(a) | set(b)) == n
             assert not set(a) & set(b)
 
     def test_larger_half_trains(self):
-        a, b = _half_indices(np.random.default_rng(1), 9)
+        a, b = _half_indices(np.random.default_rng(1).permutation(9))
         assert len(a) == 5 and len(b) == 4
 
 
@@ -52,7 +45,8 @@ class TestTrainTest:
         base_y = rng.normal(size=(40, 2))
         xv = np.vstack([base_x, base_x])
         yv = np.vstack([base_y, base_y])
-        diag = _split_train_test(xv, yv, PLS, _ArangeRng())
+        # the identity partition: the first copy trains, the second tests
+        diag = _split_train_test(xv, yv, PLS, np.arange(80), (("a", "b", "c"), ("p", "q")))
         from crossblock import correlation_bundle, fit_pls
 
         b = correlation_bundle(
@@ -93,6 +87,26 @@ class TestTrainTest:
         a = train_test(x, y, CCA, n_split=60, seed=2, threads=1)
         b = train_test(x, y, CCA, n_split=60, seed=2, threads=4)
         assert np.array_equal(a.s_test_draws, b.s_test_draws)
+
+
+class TestAllSplitsFailed:
+    """When every split fails, the first split's own error is raised."""
+
+    @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
+    def test_collinear_y_names_y(self, fn):
+        x, y = gaussian_blocks(20, 80, 3, 2)
+        yv = np.column_stack([y.values[:, 0], 2.0 * y.values[:, 0] + 1.0, y.values[:, 1]])
+        with pytest.raises(RankDeficient) as err:
+            fn(x, DataBlock(yv, ("a", "b", "c")), CCA, n_split=5, seed=1)
+        assert err.value.block == "y"
+        assert "'y'" in str(err.value)
+
+    @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
+    def test_constant_column_named(self, fn):
+        x, y = gaussian_blocks(21, 40, 3, 2)
+        yv = np.column_stack([y.values[:, 0], np.full(40, 3.0)])
+        with pytest.raises(ConstantColumn, match="'flat'"):
+            fn(x, DataBlock(yv, ("a", "flat")), PLS, n_split=5, seed=1)
 
 
 class TestSplitHalf:
