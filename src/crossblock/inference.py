@@ -15,7 +15,6 @@ so a singular value larger than every permuted draw reports p = 0.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .blocks import DataBlock, _adjustment_roots, _within_correlation, _zscore_values
 from .decomposition import (
@@ -245,8 +244,12 @@ def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettRes
     The test starting at LV k asks whether canonical correlations k..r are
     jointly zero: chi_square = -(n - 1 - (p + q + 1)/2) * sum_{i>=k}
     ln(1 - s_i^2) on (p - k + 1)(q - k + 1) degrees of freedom, with the
-    p-value from the upper tail.
+    p-value from the upper tail. scipy is imported here, not at module load,
+    so that commands that never run this test do not pay for it;
+    ``chdtrc`` is the function ``scipy.stats.chi2.sf`` evaluates.
     """
+    from scipy.special import chdtrc
+
     if model.method != CCA:
         raise MethodMismatch("the chi-square test applies to CCA models only")
     if p != model.u.shape[0] or q != model.v.shape[0]:
@@ -264,8 +267,6 @@ def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettRes
         stat = -mult * float(np.sum(log_terms[k - 1 :]))
         df = (p - k + 1) * (q - k + 1)
         tests.append(
-            BartlettTest(
-                start_lv=k, chi_square=stat, df=df, p_value=float(chi2.sf(stat, df))
-            )
+            BartlettTest(start_lv=k, chi_square=stat, df=df, p_value=float(chdtrc(df, stat)))
         )
     return BartlettResult(tests=tuple(tests))

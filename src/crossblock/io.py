@@ -38,45 +38,77 @@ SCHEMA_VERSION = 1
 def load_csv(path, header: bool = True, delimiter: str = ",") -> DataBlock:
     """Read a rectangular numeric CSV file into a DataBlock.
 
-    The first row is treated as the header unless ``header`` is False, in
-    which case labels v1..vk are synthesized. Empty cells, non-numeric
-    cells, and non-finite values are rejected with their coordinates
-    (1-based, counting the header).
+    The first non-blank row is treated as the header unless ``header`` is
+    False, in which case labels v1..vk are synthesized. The header is read
+    with ``csv``; the body is parsed in one ``np.loadtxt`` call. When that
+    fast parse fails (a cell it cannot read, a row width that differs from
+    the header, no data rows, or a non-finite value), the file is scanned
+    again cell by cell with ``csv`` and ``float``. The scan accepts what
+    the fast parse does not (quoted numbers, ``1_000``, non-ASCII digits)
+    and is the one place that rejects a file: ``EmptyFile`` when there are
+    no data rows, ``RaggedRows`` with the row of the first row whose width
+    differs, and ``NonNumericCell`` with the row and column of the first
+    empty, non-numeric or non-finite cell. Coordinates are 1-based and
+    count every row of the file, the header and blank rows included.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]
+        if header:
+            # readline, not iteration, so that fh.tell() stays usable
+            reader = csv.reader(iter(fh.readline, ""), delimiter=delimiter)
+            labels = tuple(c.strip() for c in next((r for r in reader if r), ()))
+        values = _parse_body(fh, delimiter)
+    if not header and values is not None:
+        labels = tuple(f"v{j + 1}" for j in range(values.shape[1]))
+    if values is None or values.shape[1] != len(labels):
+        return _scan_csv(path, header, delimiter)
+    return DataBlock(values, labels)
+
+
+def _parse_body(fh, delimiter: str):
+    """The rest of ``fh`` as a finite float matrix, or None if the fast parse fails."""
+    start = fh.tell()
+    # np.loadtxt warns on input without data rows; leave those to the scan
+    if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+        return None
+    fh.seek(start)
+    try:
+        values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _scan_csv(path: Path, header: bool, delimiter: str) -> DataBlock:
+    """Parse cell by cell, raising ParseErrors with 1-based file coordinates."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [
+            (i, r) for i, r in enumerate(csv.reader(fh, delimiter=delimiter), 1) if r
+        ]
     if not rows:
         raise EmptyFile(f"{path} contains no data")
     if header:
-        labels = tuple(c.strip() for c in rows[0])
+        labels = tuple(c.strip() for c in rows[0][1])
         body = rows[1:]
-        offset = 2
     else:
-        labels = tuple(f"v{j + 1}" for j in range(len(rows[0])))
+        labels = tuple(f"v{j + 1}" for j in range(len(rows[0][1])))
         body = rows
-        offset = 1
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
     width = len(labels)
     values = np.empty((len(body), width))
-    for i, row in enumerate(body):
+    for i, (row_no, row) in enumerate(body):
         if len(row) != width:
-            raise RaggedRows(
-                f"expected {width} fields, found {len(row)}", row=i + offset
-            )
+            raise RaggedRows(f"expected {width} fields, found {len(row)}", row=row_no)
         for j, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
                 raise NonNumericCell(
-                    f"cell {cell!r} is not numeric", row=i + offset, col=j + 1
+                    f"cell {cell!r} is not numeric", row=row_no, col=j + 1
                 ) from None
             if not np.isfinite(v):
-                raise NonNumericCell(
-                    f"cell {cell!r} is not finite", row=i + offset, col=j + 1
-                )
+                raise NonNumericCell(f"cell {cell!r} is not finite", row=row_no, col=j + 1)
             values[i, j] = v
     return DataBlock(values, labels)
 

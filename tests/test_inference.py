@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -168,6 +173,24 @@ class TestBartlett:
         assert all(a >= b for a, b in zip(stats, stats[1:]))
         assert all(t.chi_square >= 0 for t in res.tests)
 
+    def test_p_values_match_scipy_chi2_sf_bitwise(self):
+        from scipy.stats import chi2
+
+        checked = []
+        for p, q in [(2, 1), (4, 2), (10, 5), (50, 4), (300, 40)]:
+            r = min(p, q)
+            for s in ([0.0] * r, np.linspace(0.05, 0.01, r), np.linspace(0.6, 0.1, r),
+                      np.linspace(0.999999, 0.5, r)):
+                for n in (p + q + 1, 100 + p + q, 10000):
+                    model = cca_model_with_s(s, p=p, q=q)
+                    for t in bartlett_test(model, n=n, p=p, q=q).tests:
+                        expected = float(chi2.sf(t.chi_square, t.df))
+                        assert np.float64(t.p_value).tobytes() == np.float64(expected).tobytes()
+                        checked.append((t.chi_square, t.p_value))
+        assert any(stat == 0.0 and pv == 1.0 for stat, pv in checked)
+        assert any(stat > 0 and pv == 0.0 for stat, pv in checked)
+        assert any(0.0 < pv < 1.0 for _, pv in checked)
+
     def test_rejects_pls(self):
         u = np.eye(3)[:, :2]
         model = CrossBlockModel(method=PLS, u=u, s=np.array([0.5, 0.2]), v=np.eye(2))
@@ -183,3 +206,16 @@ class TestBartlett:
         model = cca_model_with_s([0.5], p=3, q=1)
         with pytest.raises(ValueError, match="do not match"):
             bartlett_test(model, n=100, p=4, q=1)
+
+
+def test_importing_the_package_and_cli_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, crossblock, crossblock.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

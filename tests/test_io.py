@@ -1,8 +1,13 @@
 import json
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from crossblock import (
@@ -12,6 +17,8 @@ from crossblock import (
     run_detectability,
     run_full_sample,
 )
+import crossblock.io as crossblock_io
+from crossblock.blocks import DataBlock
 from crossblock.cli import main
 from crossblock.errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
 from crossblock.io import (
@@ -84,6 +91,94 @@ class TestLoadCsv:
         b1 = correlation_bundle(ds.x, ds.x)
         b2 = correlation_bundle(back, back)
         assert np.abs(b1.rxx - b2.rxx).max() < 1e-12
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+# Finite doubles, with the extremes st.floats may not reach every run added
+# explicitly: subnormals, the normal boundaries, -0.0 and the largest double.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, -0.0, 1e-300, 1e300]),
+)
+
+
+class TestLoadCsvFastPath:
+    """The one-call parse agrees with the cell-by-cell scan, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                                  max_side=6), elements=FINITE),
+           header=st.booleans())
+    def test_random_matrices_load_like_the_scan(self, tmp_path_factory, matrix, header):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        labels = tuple(f"c{j}" for j in range(matrix.shape[1]))
+        write_block_csv(DataBlock(matrix, labels), path)
+        if not header:
+            path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1],
+                            encoding="utf-8")
+        with mock.patch.object(crossblock_io, "_scan_csv",
+                               side_effect=AssertionError("fell back to the scan")):
+            fast = load_csv(path, header=header)
+        scan = crossblock_io._scan_csv(path, header, ",")
+        assert np.array_equal(bits(fast.values), bits(matrix))
+        assert np.array_equal(bits(fast.values), bits(scan.values))
+        assert fast.labels == scan.labels
+        assert fast.labels == (labels if header else tuple(
+            f"v{j + 1}" for j in range(matrix.shape[1])))
+
+    @pytest.mark.parametrize("text,header,expected", [
+        ("a,b\n1,2\n3,\n", True, (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\nx,4\n", True, (NonNumericCell, 3, 1)),
+        ("a,b\n1,2\nnan,4\n", True, (NonNumericCell, 3, 1)),
+        ("a,b\n1,inf\n3,4\n", True, (NonNumericCell, 2, 2)),
+        ("a,b\n1,2\n3,-inf\n", True, (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\n3,1e999\n", True, (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\n3\n", True, (RaggedRows, 3, None)),
+        ("a,b\n1,2\n3,4,5\n", True, (RaggedRows, 3, None)),
+        ("a,b,c\n1,2\n3,4\n", True, (RaggedRows, 2, None)),
+        ("a,b\n1,2\n   \n3,4\n", True, (RaggedRows, 3, None)),
+        ("a,b\n", True, (EmptyFile, None, None)),
+        ("a,b\n\n\r\n", True, (EmptyFile, None, None)),
+        ("", True, (EmptyFile, None, None)),
+        ("\n\n", False, (EmptyFile, None, None)),
+        # rows are numbered as the file has them, blank rows included
+        ("a,b\n1,2\n\n3,4\n5,x\n", True, (NonNumericCell, 5, 2)),
+        ("\na,b\n1,2\n3,x\n", True, (NonNumericCell, 4, 2)),
+        ("1,2\n\n3,y\n", False, (NonNumericCell, 3, 2)),
+        ('a,b\n"1,5",2\n3,4\n', True, (NonNumericCell, 2, 1)),
+        ("a,b\n1,2\n\n3,4\n\n", True, [[1, 2], [3, 4]]),
+        ("a,b\r\n1,2\r\n3,4\r\n", True, [[1, 2], [3, 4]]),
+        ("a,b\r1,2\r3,4\r", True, [[1, 2], [3, 4]]),
+        ("a , b\n 1 ,2\t\n3, 4 \n", True, [[1, 2], [3, 4]]),
+        ('a,b\n"1.5",2\n3,"-4"\n', True, [[1.5, 2], [3, -4]]),
+        ("a,b\n1_000,2\n3,4\n", True, [[1000, 2], [3, 4]]),
+        ("a,b\n\u0661\u0662,2\n3,\uff14\n", True, [[12, 2], [3, 4]]),
+        ("1,2\n3,4\n", False, [[1, 2], [3, 4]]),
+    ])
+    def test_edge_cases_match_the_scan(self, tmp_path, text, header, expected):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = []
+            for parse in (lambda: load_csv(path, header=header),
+                          lambda: crossblock_io._scan_csv(path, header, ",")):
+                try:
+                    block = parse()
+                except (EmptyFile, NonNumericCell, RaggedRows) as err:
+                    outcomes.append((type(err), err.row, err.col))
+                else:
+                    outcomes.append((block.labels, bits(block.values).tolist()))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(expected, tuple):
+            assert outcomes[0] == expected
+        else:
+            labels = ("a", "b") if header else ("v1", "v2")
+            assert outcomes[0] == (labels, bits(np.array(expected, float)).tolist())
 
 
 class TestReportDocument:
