@@ -116,14 +116,19 @@ class CorrelationBundle:
         return self.rxy.shape[1]
 
 
-def _zscore_values(values: np.ndarray, labels=None) -> np.ndarray:
-    """Center and scale columns to unit sample standard deviation."""
+def _column_sd(values: np.ndarray, labels=None) -> np.ndarray:
+    """Column sample standard deviations; ConstantColumn names the first below 1e-12."""
     sd = values.std(axis=0, ddof=1)
     bad = np.flatnonzero(sd < _CONSTANT_SD)
     if bad.size:
         j = int(bad[0])
         raise ConstantColumn(labels[j] if labels is not None else str(j))
-    return (values - values.mean(axis=0)) / sd
+    return sd
+
+
+def _zscore_values(values: np.ndarray, labels=None) -> np.ndarray:
+    """Center and scale columns to unit sample standard deviation."""
+    return (values - values.mean(axis=0)) / _column_sd(values, labels)
 
 
 def zscore_columns(block: DataBlock) -> DataBlock:

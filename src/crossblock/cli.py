@@ -22,8 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .datagen import SimulationSpec, generate_null, generate_relevant_subspace
 from .decomposition import CCA, PLS
 from .errors import (
@@ -37,6 +35,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _resolve_n_keep,
     run_detectability,
     run_false_positive_sweep,
     run_full_sample,
@@ -460,12 +459,7 @@ def _cmd_pca(args) -> int:
                                 "pca_components"))
         x = load_csv(args.x)
         model = fit_pca(x)
-        pre = _pca_pre(eff["pca_components"])
-        if pre is None or isinstance(pre, float):
-            n_keep = model.n_kept if pre is None else int(
-                np.searchsorted(model.variance_fraction, pre - 1e-12) + 1)
-        else:
-            n_keep = pre
+        n_keep = _resolve_n_keep(_pca_pre(eff["pca_components"]), model)
         scores = component_scores(x, model, n_keep)
         out = Path(args.scores_out) if args.scores_out else Path(eff["out_dir"]) / "scores.csv"
         out.parent.mkdir(parents=True, exist_ok=True)

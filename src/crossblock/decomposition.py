@@ -209,10 +209,7 @@ def _fit_zscored(xz: np.ndarray, yz: np.ndarray, method: str):
 
     Returns (u, s, v, m) where m is the decomposed cross-block matrix.
     """
-    m = _cross_correlation(xz, yz)
-    if method == CCA:
-        ax, by = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
-        m = ax @ m @ by
+    m = _cross_matrix(xz, yz, method)
     u, s, v = _oriented_svd(m)
     if method == CCA:
         s = np.minimum(s, 1.0)

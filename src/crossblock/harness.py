@@ -1,8 +1,10 @@
 """Experiment protocols: full-sample analysis and subsampling studies.
 
 The subsampling studies draw row subsets without replacement from a large
-"population" dataset, re-run the analyses on every subset, and aggregate by
-sample size:
+"population" dataset, re-run an analysis on every subset, and aggregate by
+sample size. All three run through ``_sweep``, which owns the draws, the
+PCA reference, the CCA size guard, skip capture and the cells; a study
+supplies only its per-subsample assessment and its summary:
 
 * detectability: the fraction of subsamples in which an LV's permutation
   p-value falls at or below alpha. This is a descriptive rate over
@@ -18,9 +20,10 @@ sample size:
 
 CCA is refused outright (cells marked not-run, never zero) whenever a
 subsample cannot support the within-block adjustment: the sample size must
-exceed the X variable count and the within-block correlation matrix must be
-full rank. Split-based assessments additionally need each half to clear the
-same bar.
+exceed the X variable count and the within-block correlation matrices must
+be full rank. Split-based assessments additionally need each half to clear
+the same bar. In the full-sample analysis a rank-deficient X or Y block
+makes CCA not-run with a reason naming the block; PLS results stand.
 
 The subsamples of one sample size are one batch drawn from the
 (seed, "subsample", size) generator, and each subsample's permutations come
@@ -30,17 +33,11 @@ count. Both methods see identical subsamples and one shared permutation
 matrix per subsample, which keeps their comparison paired.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (
-    DataBlock,
-    correlation_bundle,
-    effective_rank,
-    _within_correlation,
-    _zscore_values,
-)
+from .blocks import DataBlock, correlation_bundle
 from .datagen import generate_null
 from .decomposition import CCA, PLS, check_method, fit_cca
 from .errors import ConstantColumn, MissingOmega, RankDeficient
@@ -194,8 +191,12 @@ def split_half_lv_z(report: SplitHalfReport) -> np.ndarray:
 
 
 def _resolve_n_keep(pca_pre, model: PcaModel) -> int:
-    if isinstance(pca_pre, bool) or pca_pre is None:
-        raise ValueError("pca_pre is not set")
+    """Retained component count: an int is capped at the component count, a
+    fraction is a cumulative variance target, None keeps ``model.n_kept``."""
+    if pca_pre is None:
+        return model.n_kept
+    if isinstance(pca_pre, bool):
+        raise ValueError("pca_pre must be an int, a fraction or None")
     if isinstance(pca_pre, int):
         return min(pca_pre, model.k)
     return int(np.searchsorted(model.variance_fraction, pca_pre - 1e-12) + 1)
@@ -217,30 +218,29 @@ def _cca_sample_guard(n_rows: int, p: int) -> str | None:
     return None
 
 
-def _cca_rank_guard(xz: np.ndarray) -> str | None:
-    p = xz.shape[1]
-    rank = effective_rank(_within_correlation(xz))
-    if rank < p:
-        return f"within-block correlation rank {rank} below {p}"
-    return None
-
-
 def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> FullSampleResult:
     """Population-level analysis: significance, reliability, reproducibility.
 
     Fits every configured method on the full blocks and collects permutation
     p-values, bootstrap stability masks, the chi-square sequence (CCA), and
-    the train/test and split-half z tables. A CCA that fails the rank guard
-    is reported as not-run while the other method's results stand.
+    the train/test and split-half z tables. A CCA that fails the size guard,
+    or whose X or Y within-block correlation is rank deficient, is reported
+    as not-run with the reason (the rank failure names the block, its
+    smallest eigenvalue and the tolerance) while the other method's results
+    stand.
     """
     x_used, pca_model, n_keep = _reduce_x(x, config)
     entries = []
     for method in config.methods:
-        reason = None
-        if method == CCA:
-            reason = _cca_sample_guard(x_used.n, x_used.k)
-            if reason is None:
-                reason = _cca_rank_guard(_zscore_values(x_used.values))
+        reason = _cca_sample_guard(x_used.n, x_used.k) if method == CCA else None
+        if reason is None:
+            try:
+                perm = permutation_test(
+                    x_used, y, method, n_perm=config.n_perm,
+                    seed=derive_seed(config.seed, "full-permutation"),
+                )
+            except RankDeficient as exc:
+                reason = str(exc)
         if reason is not None:
             entries.append(
                 MethodFullSample(
@@ -250,10 +250,6 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
                 )
             )
             continue
-        perm = permutation_test(
-            x_used, y, method, n_perm=config.n_perm,
-            seed=derive_seed(config.seed, "full-permutation"),
-        )
         boot = bootstrap_ci(
             x_used, y, method, n_boot=config.n_boot,
             seed=derive_seed(config.seed, "full-bootstrap"),
@@ -319,15 +315,20 @@ def _subsample_blocks(x, y, idx, pca_reference):
     return xs, ys
 
 
-def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> SubsampleReport:
-    """Rejection rates by sample size.
+def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
+    """The subsampling protocol shared by every study.
 
-    For each sample size, ``n_iterations`` subsamples are drawn without
-    replacement; each gets one permutation matrix, tested against every
-    method, and LV k counts as detected when its p-value is at or below
-    alpha. Per-iteration failures (a constant column in a tiny draw, a
-    rank-deficient CCA subsample above the size guard) are recorded as
-    skips, not fatal.
+    For each sample size, ``n_iterations`` row subsets are drawn without
+    replacement and materialized, with the PCA reduction re-fitted and
+    aligned to the population fit when configured. CCA is blocked up front
+    when the sample size (the half-sample size when ``half`` is set, as
+    split-based assessments need) does not exceed the X variable count.
+    ``evaluate(size, i, xs, ys)`` returns the function that assesses
+    subsample i for one method; it is called for every method that is not
+    blocked, in config order. A constant column or a rank-deficient CCA
+    records a skip. ``summarize(outcomes)`` turns a method's completed
+    outcomes into per-LV cell fields and, under "any_lv", the any-LV
+    fraction that studies other than reproducibility report.
     """
     _check_population(x, y, config)
     pca_reference = None
@@ -339,86 +340,83 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
     cells = []
     any_cells = []
     for size in config.sample_sizes:
-        blocked = {m: _cca_sample_guard(size, p_effective) if m == CCA else None
-                   for m in config.methods}
+        guard = _cca_sample_guard(size // 2 if half else size, p_effective)
+        if half and guard is not None:
+            guard = "half-sample rank guard: " + guard
+        blocked = {m: guard if m == CCA else None for m in config.methods}
+        live = [m for m in config.methods if blocked[m] is None]
 
-        def one(i: int, idx: np.ndarray, size=size, blocked=blocked):
+        def one(i: int, idx: np.ndarray):
             try:
                 xs, ys = _subsample_blocks(x, y, idx, pca_reference)
             except ConstantColumn as exc:
-                return {m: ("skip", str(exc)) for m in config.methods}
-            perms = None
+                return {m: exc for m in live}
+            assess = evaluate(size, i, xs, ys) if live else None
             out = {}
-            for method in config.methods:
-                if blocked[method] is not None:
-                    out[method] = ("blocked", blocked[method])
-                    continue
-                if perms is None:
-                    perms = permutation_matrix(
-                        derive_seed(config.seed, "detect-permutation", size, i),
-                        config.n_perm, size,
-                    )
+            for method in live:
                 try:
-                    res = permutation_test(
-                        xs, ys, method, n_perm=config.n_perm, permutations=perms
-                    )
+                    out[method] = assess(method)
                 except (RankDeficient, MissingOmega, ConstantColumn) as exc:
-                    out[method] = ("skip", str(exc))
-                    continue
-                out[method] = ("ok", res.p_values)
+                    out[method] = exc
             return out
 
         results = map_draws(one, _subsample_draw(config.seed, size, x.n),
                             config.n_iterations, size, config.threads)
         for method in config.methods:
-            if blocked[method] is not None:
-                for lv in range(1, r + 1):
-                    cells.append(
-                        SubsampleCell(
-                            method=method, sample_size=size, lv=lv, status=NOT_RUN,
-                            n_skipped=config.n_iterations, skip_reason=blocked[method],
-                        )
-                    )
-                any_cells.append(
-                    AnyLvCell(method=method, sample_size=size, status=NOT_RUN,
-                              fraction=None, n_completed=0)
-                )
-                continue
-            pvals = [res[method][1] for res in results if res[method][0] == "ok"]
-            skips = [res[method][1] for res in results if res[method][0] == "skip"]
-            n_done = len(pvals)
-            if n_done:
-                stacked = np.stack(pvals)
-                hit = stacked <= config.alpha
-                rates = hit.mean(axis=0)
-                # Family-wise decision by the max-statistic rule: the observed
-                # leading singular value is the family maximum, so comparing it
-                # against the permuted leading values controls the any-LV error
-                # at alpha. A raw union over the positional p-values would not.
-                any_rate = float(hit[:, 0].mean())
+            outcomes = [res[method] for res in results] if method in live else []
+            done = [o for o in outcomes if not isinstance(o, Exception)]
+            skips = [str(o) for o in outcomes if isinstance(o, Exception)]
+            stats = summarize(done) if done else {}
+            fraction = stats.pop("any_lv", None)
+            status = OK if done else NOT_RUN
             for lv in range(1, r + 1):
                 cells.append(
                     SubsampleCell(
-                        method=method, sample_size=size, lv=lv,
-                        status=OK if n_done else NOT_RUN,
-                        detectability=float(rates[lv - 1]) if n_done else None,
-                        n_completed=n_done,
-                        n_skipped=config.n_iterations - n_done,
-                        skip_reason=skips[0] if skips else None,
+                        method=method, sample_size=size, lv=lv, status=status,
+                        n_completed=len(done), n_skipped=config.n_iterations - len(done),
+                        skip_reason=blocked[method] or (skips[0] if skips else None),
+                        **{name: float(v[lv - 1]) for name, v in stats.items()},
                     )
                 )
-            any_cells.append(
-                AnyLvCell(
-                    method=method, sample_size=size,
-                    status=OK if n_done else NOT_RUN,
-                    fraction=any_rate if n_done else None,
-                    n_completed=n_done,
+            if kind != "reproducibility":
+                any_cells.append(
+                    AnyLvCell(method=method, sample_size=size, status=status,
+                              fraction=fraction, n_completed=len(done))
                 )
-            )
     return SubsampleReport(
-        kind="detectability", alpha=config.alpha, lv_count=r,
-        n_iterations=config.n_iterations, cells=tuple(cells), any_lv=tuple(any_cells),
+        kind=kind, alpha=config.alpha, lv_count=r, n_iterations=config.n_iterations,
+        cells=tuple(cells), any_lv=tuple(any_cells),
     )
+
+
+def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> SubsampleReport:
+    """Rejection rates by sample size.
+
+    For each sample size, ``n_iterations`` subsamples are drawn without
+    replacement; each gets one permutation matrix, tested against every
+    method, and LV k counts as detected when its p-value is at or below
+    alpha. Per-iteration failures (a constant column in a tiny draw, a
+    rank-deficient CCA subsample above the size guard) are recorded as
+    skips, not fatal.
+    """
+
+    def evaluate(size, i, xs, ys):
+        perms = permutation_matrix(
+            derive_seed(config.seed, "detect-permutation", size, i), config.n_perm, size
+        )
+        return lambda method: permutation_test(
+            xs, ys, method, n_perm=config.n_perm, permutations=perms
+        ).p_values
+
+    def summarize(p_values):
+        hit = np.stack(p_values) <= config.alpha
+        # Family-wise decision by the max-statistic rule: the observed leading
+        # singular value is the family maximum, so comparing it against the
+        # permuted leading values controls the any-LV error at alpha. A raw
+        # union over the positional p-values would not.
+        return {"detectability": hit.mean(axis=0), "any_lv": float(hit[:, 0].mean())}
+
+    return _sweep(x, y, config, "detectability", False, evaluate, summarize)
 
 
 def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> SubsampleReport:
@@ -429,89 +427,27 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
     assessment completed. CCA cells whose half-samples cannot clear the
     rank guard are marked not-run up front.
     """
-    _check_population(x, y, config)
-    pca_reference = None
-    if config.pca_pre is not None:
-        pop_model = fit_pca(x)
-        pca_reference = (pop_model, _resolve_n_keep(config.pca_pre, pop_model))
-    p_effective = pca_reference[1] if pca_reference else x.k
-    r = min(p_effective, y.k)
-    cells = []
-    for size in config.sample_sizes:
-        blocked = {}
-        for m in config.methods:
-            reason = None
-            if m == CCA:
-                reason = _cca_sample_guard(size // 2, p_effective)
-                if reason is not None:
-                    reason = "half-sample rank guard: " + reason
-            blocked[m] = reason
 
-        def one(i: int, idx: np.ndarray, size=size, blocked=blocked):
-            try:
-                xs, ys = _subsample_blocks(x, y, idx, pca_reference)
-            except ConstantColumn as exc:
-                return {m: ("skip", str(exc)) for m in config.methods}
-            out = {}
-            for method in config.methods:
-                if blocked[method] is not None:
-                    out[method] = ("blocked", blocked[method])
-                    continue
-                try:
-                    tt = train_test(
-                        xs, ys, method, n_split=config.n_split,
-                        seed=derive_seed(config.seed, "repro-train-test", size, i),
-                    )
-                    sh = split_half(
-                        xs, ys, method, n_split=config.n_split,
-                        seed=derive_seed(config.seed, "repro-split-half", size, i),
-                    )
-                except (RankDeficient, MissingOmega, ConstantColumn) as exc:
-                    out[method] = ("skip", str(exc))
-                    continue
-                out[method] = ("ok", (tt.z, sh.z_u, sh.z_v))
-            return out
+    def evaluate(size, i, xs, ys):
+        def assess(method):
+            tt = train_test(
+                xs, ys, method, n_split=config.n_split,
+                seed=derive_seed(config.seed, "repro-train-test", size, i),
+            )
+            sh = split_half(
+                xs, ys, method, n_split=config.n_split,
+                seed=derive_seed(config.seed, "repro-split-half", size, i),
+            )
+            return tt.z, sh.z_u, sh.z_v
 
-        results = map_draws(one, _subsample_draw(config.seed, size, x.n),
-                            config.n_iterations, size, config.threads)
-        for method in config.methods:
-            if blocked[method] is not None:
-                for lv in range(1, r + 1):
-                    cells.append(
-                        SubsampleCell(
-                            method=method, sample_size=size, lv=lv, status=NOT_RUN,
-                            n_skipped=config.n_iterations, skip_reason=blocked[method],
-                        )
-                    )
-                continue
-            done = [res[method][1] for res in results if res[method][0] == "ok"]
-            skips = [res[method][1] for res in results if res[method][0] == "skip"]
-            n_done = len(done)
-            if n_done:
-                tt_z = np.stack([d[0] for d in done])
-                sh_u = np.stack([d[1] for d in done])
-                sh_v = np.stack([d[2] for d in done])
-                with np.errstate(invalid="ignore"):
-                    tt_mean = np.nanmean(tt_z, axis=0)
-                    u_mean = np.nanmean(sh_u, axis=0)
-                    v_mean = np.nanmean(sh_v, axis=0)
-            for lv in range(1, r + 1):
-                cells.append(
-                    SubsampleCell(
-                        method=method, sample_size=size, lv=lv,
-                        status=OK if n_done else NOT_RUN,
-                        train_test_z=float(tt_mean[lv - 1]) if n_done else None,
-                        split_half_z_u=float(u_mean[lv - 1]) if n_done else None,
-                        split_half_z_v=float(v_mean[lv - 1]) if n_done else None,
-                        n_completed=n_done,
-                        n_skipped=config.n_iterations - n_done,
-                        skip_reason=skips[0] if skips else None,
-                    )
-                )
-    return SubsampleReport(
-        kind="reproducibility", alpha=config.alpha, lv_count=r,
-        n_iterations=config.n_iterations, cells=tuple(cells),
-    )
+        return assess
+
+    def summarize(outcomes):
+        names = ("train_test_z", "split_half_z_u", "split_half_z_v")
+        with np.errstate(invalid="ignore"):
+            return {name: np.nanmean(np.stack(z), axis=0) for name, z in zip(names, zip(*outcomes))}
+
+    return _sweep(x, y, config, "reproducibility", True, evaluate, summarize)
 
 
 def run_false_positive_sweep(
@@ -524,8 +460,4 @@ def run_false_positive_sweep(
     per method and sample size alongside the per-LV rates.
     """
     dataset = generate_null(n, p, q, seed=derive_seed(config.seed, "fpr-population"))
-    report = run_detectability(dataset.x, dataset.y, config)
-    return SubsampleReport(
-        kind="false-positive-sweep", alpha=report.alpha, lv_count=report.lv_count,
-        n_iterations=report.n_iterations, cells=report.cells, any_lv=report.any_lv,
-    )
+    return replace(run_detectability(dataset.x, dataset.y, config), kind="false-positive-sweep")

@@ -493,16 +493,14 @@ def _section_tables(bundle: Path, name: str, section) -> list[Path]:
                     [[t["start_lv"], t["chi_square"], t["df"], t["p_value"]]
                      for t in body["bartlett"]],
                 ))
-            out.extend(_weight_tables(bundle, method, body["bootstrap"]))
+            out.append(_write_table(
+                bundle / f"stable_weights_{method}.csv",
+                ["block", "variable", "lv", "observed", "lower", "upper", "stable"],
+                _weight_rows(body["bootstrap"]),
+            ))
         return out
     if name == "pca":
-        out.append(_write_table(
-            bundle / "eigenspectrum.csv",
-            ["component", "eigenvalue", "cumulative_variance_fraction"],
-            [[i + 1, w, f] for i, (w, f) in
-             enumerate(zip(section["eigenvalues"], section["variance_fraction"]))],
-        ))
-        return out
+        return [_eigenspectrum_table(bundle / "eigenspectrum.csv", section)]
     if name == "pca_stability":
         out.append(_write_table(
             bundle / "pca_stability.csv",
@@ -520,23 +518,22 @@ def _section_tables(bundle: Path, name: str, section) -> list[Path]:
     return [path]
 
 
-def _weight_tables(bundle: Path, method: str, boot: dict) -> list[Path]:
-    rows = []
+def _eigenspectrum_table(path: Path, section: dict) -> Path:
+    return _write_table(
+        path, ["component", "eigenvalue", "cumulative_variance_fraction"],
+        [[i + 1, w, f] for i, (w, f) in
+         enumerate(zip(section["eigenvalues"], section["variance_fraction"]))],
+    )
+
+
+def _weight_rows(boot: dict):
+    """(block, variable, lv, observed, lower, upper, stable) rows of a bootstrap section."""
     for block_name in ("x", "y"):
         side = boot[block_name]
-        labels = side["labels"]
-        observed = side["observed"]
-        for vi, label in enumerate(labels):
-            for lv in range(len(observed[vi])):
-                rows.append([
-                    block_name, label, lv + 1, observed[vi][lv],
-                    side["lower"][vi][lv], side["upper"][vi][lv], side["stable"][vi][lv],
-                ])
-    return [_write_table(
-        bundle / f"stable_weights_{method}.csv",
-        ["block", "variable", "lv", "observed", "lower", "upper", "stable"],
-        rows,
-    )]
+        for vi, label in enumerate(side["labels"]):
+            for lv, observed in enumerate(side["observed"][vi]):
+                yield [block_name, label, lv + 1, observed,
+                       side["lower"][vi][lv], side["upper"][vi][lv], side["stable"][vi][lv]]
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +570,10 @@ def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
         for method, body in section["per_method"].items():
             if body.get("status") != "ok":
                 continue
-            boot = body["bootstrap"]
-            rows = []
-            for block_name in ("x", "y"):
-                side = boot[block_name]
-                for vi, label in enumerate(side["labels"]):
-                    for lv in range(len(side["observed"][vi])):
-                        rows.append([block_name, label, lv + 1, side["lower"][vi][lv],
-                                     side["upper"][vi][lv], side["stable"][vi][lv]])
             written.append(_write_table(
                 out_dir / f"weight_intervals_{method}.csv",
-                ["block", "variable", "lv", "lower", "upper", "stable"], rows,
+                ["block", "variable", "lv", "lower", "upper", "stable"],
+                (row[:3] + row[4:] for row in _weight_rows(body["bootstrap"])),
             ))
         if not written:
             raise MissingSection("report has no bootstrap results")
@@ -596,12 +586,7 @@ def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
                     section = section.get("pca")
                     if section is None:
                         continue
-                return [_write_table(
-                    out_dir / "eigenspectrum.csv",
-                    ["component", "eigenvalue", "cumulative_variance_fraction"],
-                    [[i + 1, w, f] for i, (w, f) in
-                     enumerate(zip(section["eigenvalues"], section["variance_fraction"]))],
-                )]
+                return [_eigenspectrum_table(out_dir / "eigenspectrum.csv", section)]
         raise MissingSection("report has no PCA section")
     if kind == "z-distributions":
         written = []

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, _zscore_values
-from .errors import ConstantColumn, ShapeMismatch
+from .blocks import DataBlock, _column_sd, _zscore_values
+from .errors import ShapeMismatch
 from .parallel import map_draws
 from .rng import substream
-
-_CONSTANT_SD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,7 @@ class PcaModel:
 
 
 def _fit_values(values: np.ndarray, variance_target: float, labels=None) -> PcaModel:
-    sd = values.std(axis=0, ddof=1)
-    bad = np.flatnonzero(sd < _CONSTANT_SD)
-    if bad.size:
-        j = int(bad[0])
-        raise ConstantColumn(labels[j] if labels is not None else str(j))
+    _column_sd(values, labels)  # raises ConstantColumn
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / (values.shape[0] - 1)
     w, v = np.linalg.eigh(cov)

@@ -69,6 +69,23 @@ def _distribution_z(draws: np.ndarray):
     return z, degenerate
 
 
+def _train_test_report(s_test: np.ndarray, n_split: int, n_failed: int) -> TrainTestReport:
+    z, degenerate = _distribution_z(s_test)
+    return TrainTestReport(
+        s_test_draws=s_test, z=z, degenerate=degenerate, n_split=n_split, n_failed=n_failed
+    )
+
+
+def _split_half_report(u, v, n_split: int, n_failed: int) -> SplitHalfReport:
+    z_u, degenerate_u = _distribution_z(u)
+    z_v, degenerate_v = _distribution_z(v)
+    return SplitHalfReport(
+        u_cosine_draws=u, v_cosine_draws=v, z_u=z_u, z_v=z_v,
+        degenerate_u=degenerate_u, degenerate_v=degenerate_v,
+        n_split=n_split, n_failed=n_failed,
+    )
+
+
 def _half_indices(perm: np.ndarray):
     """Split a row permutation into disjoint halves; the larger half trains."""
     cut = (perm.shape[0] + 1) // 2
@@ -158,11 +175,7 @@ def train_test(
         lambda perm: _split_train_test(xv, yv, method, perm, labels),
         seed, "train-test", (x.n,), n_split, threads,
     )
-    s_test = np.stack(draws)
-    z, degenerate = _distribution_z(s_test)
-    return TrainTestReport(
-        s_test_draws=s_test, z=z, degenerate=degenerate, n_split=n_split, n_failed=n_failed
-    )
+    return _train_test_report(np.stack(draws), n_split, n_failed)
 
 
 def split_half(
@@ -185,19 +198,8 @@ def split_half(
         lambda perm: _split_both(xv, yv, method, perm, labels),
         seed, "split-half", (x.n,), n_split, threads,
     )
-    u_cos = np.stack([d[1] for d in draws])
-    v_cos = np.stack([d[2] for d in draws])
-    z_u, degenerate_u = _distribution_z(u_cos)
-    z_v, degenerate_v = _distribution_z(v_cos)
-    return SplitHalfReport(
-        u_cosine_draws=u_cos,
-        v_cosine_draws=v_cos,
-        z_u=z_u,
-        z_v=z_v,
-        degenerate_u=degenerate_u,
-        degenerate_v=degenerate_v,
-        n_split=n_split,
-        n_failed=n_failed,
+    return _split_half_report(
+        np.stack([d[1] for d in draws]), np.stack([d[2] for d in draws]), n_split, n_failed
     )
 
 
@@ -225,24 +227,8 @@ def null_calibration(
         lambda pair: _split_both(xv, yv[pair[0]], method, pair[1], labels),
         seed, "null-calibration", (2, x.n), n_split, threads,
     )
-    s_test = np.stack([r[0] for r in results])
-    u_cos = np.stack([r[1] for r in results])
-    v_cos = np.stack([r[2] for r in results])
-    z, degenerate = _distribution_z(s_test)
-    z_u, degenerate_u = _distribution_z(u_cos)
-    z_v, degenerate_v = _distribution_z(v_cos)
+    s_test, u_cos, v_cos = (np.stack(column) for column in zip(*results))
     return (
-        TrainTestReport(
-            s_test_draws=s_test, z=z, degenerate=degenerate, n_split=n_split, n_failed=n_failed
-        ),
-        SplitHalfReport(
-            u_cosine_draws=u_cos,
-            v_cosine_draws=v_cos,
-            z_u=z_u,
-            z_v=z_v,
-            degenerate_u=degenerate_u,
-            degenerate_v=degenerate_v,
-            n_split=n_split,
-            n_failed=n_failed,
-        ),
+        _train_test_report(s_test, n_split, n_failed),
+        _split_half_report(u_cos, v_cos, n_split, n_failed),
     )

@@ -419,3 +419,41 @@ class TestCli:
         assert (bundle / "metadata.json").exists()
         assert (bundle / "singular_values_pls.csv").exists()
         assert (bundle / "stable_weights_cca.csv").exists()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_fit_reports_cca_not_run_for_collinear_block(self, tmp_path, swap):
+        rng = np.random.default_rng(12)
+        x = DataBlock(rng.normal(size=(300, 4)), ("x1", "x2", "x3", "x4"))
+        y = rng.normal(size=(300, 3))
+        y[:, 2] = y[:, 0] - y[:, 1]
+        y = DataBlock(y, ("y1", "y2", "y3"))
+        if swap:
+            x, y = y, x
+        paths = [write_block_csv(b, tmp_path / f"{n}.csv") for n, b in (("x", x), ("y", y))]
+        out = tmp_path / "out"
+        assert self.run("fit", "--x", str(paths[0]), "--y", str(paths[1]),
+                        "--permutations", "20", "--bootstraps", "100", "--splits", "6",
+                        "--seed", "1", "--out-dir", str(out)) == 0
+        per_method = json.loads((out / "fit.json").read_text())["sections"]["full_sample"][
+            "per_method"]
+        assert per_method["pls"]["status"] == "ok"
+        assert per_method["cca"]["status"] == "not-run"
+        reason = per_method["cca"]["reason"]
+        assert f"of {'x' if swap else 'y'!r} is rank deficient" in reason
+        assert "smallest eigenvalue" in reason and "tolerance" in reason
+
+    def test_pca_component_count_capped_alike_in_fit_and_scores(self, tmp_path):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "150", "--p", "50", "--q", "2",
+                 "--seed", "3", "--out-dir", str(data))
+        x, y = str(data / "x.csv"), str(data / "y.csv")
+        out = tmp_path / "out"
+        assert self.run("pca", "scores", "--x", x, "--pca-components", "60",
+                        "--scores-out", str(out / "scores.csv")) == 0
+        assert load_csv(out / "scores.csv").k == 50
+        assert self.run("fit", "--x", x, "--y", y, "--method", "pls",
+                        "--permutations", "10", "--bootstraps", "100", "--splits", "4",
+                        "--pca-components", "60", "--out-dir", str(out)) == 0
+        section = json.loads((out / "fit.json").read_text())["sections"]["full_sample"]
+        assert section["n_components_used"] == 50
+        assert len(section["x_labels"]) == 50
