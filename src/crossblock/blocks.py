@@ -19,6 +19,7 @@ from .errors import (
     NotPositiveDefinite,
     ObservationMismatch,
     RankDeficient,
+    unwrap,
 )
 
 # Relative spectral cutoff: an eigenvalue below RANK_REL_TOL times the largest
@@ -116,19 +117,27 @@ class CorrelationBundle:
         return self.rxy.shape[1]
 
 
-def _column_sd(values: np.ndarray, labels=None) -> np.ndarray:
-    """Column sample standard deviations; ConstantColumn names the first below 1e-12."""
-    sd = values.std(axis=0, ddof=1)
-    bad = np.flatnonzero(sd < _CONSTANT_SD)
-    if bad.size:
-        j = int(bad[0])
-        raise ConstantColumn(labels[j] if labels is not None else str(j))
-    return sd
+def _zscore_values(values: np.ndarray):
+    """Center and scale columns (axis -1) of one (n, k) block or a (b, n, k)
+    stack of draws to unit sample sd. Returns the z-scores and the (..., k)
+    mask of columns with sd below 1e-12, which are centred but not scaled."""
+    sd = values.std(axis=-2, ddof=1)
+    constant = sd < _CONSTANT_SD
+    scale = np.where(constant, 1.0, sd)[..., None, :]
+    return (values - values.mean(axis=-2, keepdims=True)) / scale, constant
 
 
-def _zscore_values(values: np.ndarray, labels=None) -> np.ndarray:
-    """Center and scale columns to unit sample standard deviation."""
-    return (values - values.mean(axis=0)) / _column_sd(values, labels)
+def _constant_errors(constant: np.ndarray, labels=None) -> list:
+    """Per draw of a constant-column mask: a ConstantColumn naming its first, or None."""
+    constant = constant.reshape(-1, constant.shape[-1])
+    return [ConstantColumn(labels[j] if labels is not None else str(j)) if bad else None
+            for bad, j in zip(constant.any(axis=-1), constant.argmax(axis=-1))]
+
+
+def _zscored(values: np.ndarray, labels=None) -> np.ndarray:
+    """Z-scores of one block; ConstantColumn names its first constant column."""
+    z, constant = _zscore_values(values)
+    return unwrap(_constant_errors(constant, labels)[0] or z)
 
 
 def zscore_columns(block: DataBlock) -> DataBlock:
@@ -136,7 +145,19 @@ def zscore_columns(block: DataBlock) -> DataBlock:
 
     Raises ConstantColumn if any column's sample sd is below 1e-12.
     """
-    return DataBlock(_zscore_values(block.values, block.labels), block.labels)
+    return DataBlock(_zscored(block.values, block.labels), block.labels)
+
+
+def _inverse_roots(m: np.ndarray, block: str = ""):
+    """Symmetric inverse square roots of one symmetric matrix or a stack and, per
+    matrix, None or the RankDeficient naming ``block``, both from one eigh (a
+    failed matrix's root is the identity: no root of a non-positive eigenvalue)."""
+    w, v = np.linalg.eigh(m)
+    failed = (w[..., -1] <= 0) | (w[..., 0] < RANK_REL_TOL * w[..., -1])
+    a = (v / np.sqrt(np.where(failed[..., None], 1.0, w))[..., None, :]) @ v.swapaxes(-1, -2)
+    errors = [RankDeficient(block, float(wi[0]), RANK_REL_TOL * max(float(wi[-1]), 0.0))
+              if bad else None for bad, wi in zip(failed.reshape(-1), w.reshape(-1, w.shape[-1]))]
+    return (a + a.swapaxes(-1, -2)) / 2.0, errors
 
 
 def inverse_sqrt_sym(m: np.ndarray) -> np.ndarray:
@@ -151,11 +172,10 @@ def inverse_sqrt_sym(m: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if np.abs(m - m.T).max() > _SYM_TOL:
         raise ValueError("matrix is not symmetric within 1e-10")
-    w, v = np.linalg.eigh(m)
-    if w[-1] <= 0 or w[0] < RANK_REL_TOL * w[-1]:
-        raise NotPositiveDefinite(float(w[0]))
-    a = (v / np.sqrt(w)) @ v.T
-    return (a + a.T) / 2.0
+    a, (error,) = _inverse_roots(m)
+    if error is not None:
+        raise NotPositiveDefinite(error.eigenvalue)
+    return a
 
 
 def effective_rank(m: np.ndarray) -> int:
@@ -168,23 +188,21 @@ def effective_rank(m: np.ndarray) -> int:
 
 
 def _within_correlation(z: np.ndarray) -> np.ndarray:
-    n = z.shape[0]
-    r = z.T @ z / (n - 1)
-    return (r + r.T) / 2.0
+    r = z.swapaxes(-1, -2) @ z / (z.shape[-2] - 1)
+    return (r + r.swapaxes(-1, -2)) / 2.0
 
 
 def _cross_correlation(xz: np.ndarray, yz: np.ndarray) -> np.ndarray:
-    return xz.T @ yz / (xz.shape[0] - 1)
+    return xz.swapaxes(-1, -2) @ yz / (xz.shape[-2] - 1)
 
 
 def _adjustment_roots(rxx: np.ndarray, ryy: np.ndarray):
-    """Inverse square roots of both within-block matrices, with rank guard."""
-    for name, r in (("x", rxx), ("y", ryy)):
-        w = np.linalg.eigvalsh(r)
-        tol = RANK_REL_TOL * max(w[-1], 0.0)
-        if w[-1] <= 0 or w[0] < tol:
-            raise RankDeficient(name, float(w[0]), float(tol))
-    return inverse_sqrt_sym(rxx), inverse_sqrt_sym(ryy)
+    """Inverse square roots of both within-block matrices (a pair, or a pair
+    of stacks), with rank guard: one eigh per block. Returns (ax, by, errors),
+    errors[i] being None or the RankDeficient of draw i's first failing block."""
+    ax, x_errors = _inverse_roots(rxx, "x")
+    by, y_errors = _inverse_roots(ryy, "y")
+    return ax, by, [ex or ey for ex, ey in zip(x_errors, y_errors)]
 
 
 def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> CorrelationBundle:
@@ -205,13 +223,13 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
     """
     if x.n != y.n:
         raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
-    xz = _zscore_values(x.values, x.labels)
-    yz = _zscore_values(y.values, y.labels)
+    xz = _zscored(x.values, x.labels)
+    yz = _zscored(y.values, y.labels)
     rxx = _within_correlation(xz)
     ryy = _within_correlation(yz)
     rxy = _cross_correlation(xz, yz)
     omega = None
     if with_omega:
-        ax, by = _adjustment_roots(rxx, ryy)
-        omega = ax @ rxy @ by
+        ax, by, (error,) = _adjustment_roots(rxx, ryy)
+        omega = unwrap(error or ax) @ rxy @ by
     return CorrelationBundle(rxx=rxx, ryy=ryy, rxy=rxy, ryx=rxy.T.copy(), omega=omega)

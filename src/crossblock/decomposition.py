@@ -22,8 +22,10 @@ import numpy as np
 from .blocks import (
     CorrelationBundle,
     _adjustment_roots,
+    _constant_errors,
     _cross_correlation,
     _within_correlation,
+    _zscore_values,
     inverse_sqrt_sym,
 )
 from .errors import MethodMismatch, MissingOmega, ShapeMismatch
@@ -104,13 +106,13 @@ class CanonicalCoefficients:
 
 
 def _oriented_svd(m: np.ndarray):
-    """Thin SVD with each LV oriented so its largest-|entry| U weight is positive."""
+    """Thin SVD of one matrix or a stack, each LV oriented so its
+    largest-|entry| U weight is positive."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(u.shape[1])])
+    lead = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(u, lead, axis=-2))
     signs[signs == 0] = 1.0
-    return u * signs, s, v * signs
+    return u * signs, s, vt.swapaxes(-1, -2) * signs
 
 
 def fit_pls(bundle: CorrelationBundle) -> CrossBlockModel:
@@ -175,7 +177,8 @@ def align_reflections(reference: np.ndarray, candidate: np.ndarray, paired: np.n
     The column-wise cosines are the diagonal of reference.T @ candidate; for
     every negative diagonal entry the corresponding column of both
     ``candidate`` and ``paired`` is negated. Only reflections are corrected,
-    not rotations (column order is never touched).
+    not rotations (column order is never touched). ``candidate`` and
+    ``paired`` may be (b, k, r) stacks aligned against one reference.
 
     Returns (candidate_aligned, paired_aligned, flips) where flips is the
     boolean mask of negated columns.
@@ -183,15 +186,14 @@ def align_reflections(reference: np.ndarray, candidate: np.ndarray, paired: np.n
     reference = np.asarray(reference, dtype=np.float64)
     candidate = np.asarray(candidate, dtype=np.float64)
     paired = np.asarray(paired, dtype=np.float64)
-    if reference.shape != candidate.shape:
+    if reference.shape != candidate.shape[-2:]:
         raise ShapeMismatch(
             f"reference {reference.shape} and candidate {candidate.shape} differ"
         )
-    if paired.shape[1] != candidate.shape[1]:
+    if paired.shape[-1] != candidate.shape[-1]:
         raise ShapeMismatch("paired matrix must have the same number of columns")
-    cosines = np.einsum("ij,ij->j", reference, candidate)
-    flips = cosines < 0
-    signs = np.where(flips, -1.0, 1.0)
+    flips = np.einsum("ij,...ij->...j", reference, candidate) < 0
+    signs = np.where(flips, -1.0, 1.0)[..., None, :]
     return candidate * signs, paired * signs, flips
 
 
@@ -204,22 +206,31 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b
 
 
-def _fit_zscored(xz: np.ndarray, yz: np.ndarray, method: str):
-    """Fit from already-standardized arrays; fast path for resampling loops.
+def _fit_zscored(xz: np.ndarray, yz: np.ndarray, methods) -> dict:
+    """The resampling kernel: fit every method to one pair of standardized
+    blocks, or to a pair of (b, n, k) stacks of them. Rxy is formed once;
+    CCA adds its whitening, and each method runs one batched SVD. Returns
+    {method: (u, s, v, m, errors)}: m is the decomposed matrix, errors[i]
+    draw i's RankDeficient (CCA only) or None, which makes its fit void."""
+    rxy = _cross_correlation(xz, yz)
+    fits = {}
+    for method in methods:
+        m, errors = rxy, [None] * int(np.prod(rxy.shape[:-2]))
+        if method == CCA:
+            ax, by, errors = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
+            m = ax @ rxy @ by
+        u, s, v = _oriented_svd(m)
+        fits[method] = (u, np.minimum(s, 1.0) if method == CCA else s, v, m, errors)
+    return fits
 
-    Returns (u, s, v, m) where m is the decomposed cross-block matrix.
-    """
-    m = _cross_matrix(xz, yz, method)
-    u, s, v = _oriented_svd(m)
-    if method == CCA:
-        s = np.minimum(s, 1.0)
-    return u, s, v, m
 
-
-def _cross_matrix(xz: np.ndarray, yz: np.ndarray, method: str) -> np.ndarray:
-    """The matrix whose SVD defines the LVs: raw or adjusted cross-correlations."""
-    m = _cross_correlation(xz, yz)
-    if method == CCA:
-        ax, by = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
-        m = ax @ m @ by
-    return m
+def _fit_rows(xv, yv, x_rows, y_rows, methods, labels=(None, None)) -> dict:
+    """Gather a stack of draws from both blocks, z-score it once and fit every
+    method to it. Returns ``_fit_zscored``'s dict, errors[i] being draw i's
+    ConstantColumn (X before Y) for every method, else CCA's RankDeficient."""
+    xz, x_constant = _zscore_values(xv[x_rows])
+    yz, y_constant = _zscore_values(yv[y_rows])
+    constant = [ex or ey for ex, ey in zip(_constant_errors(x_constant, labels[0]),
+                                           _constant_errors(y_constant, labels[1]))]
+    return {method: (*fit[:4], [c or e for c, e in zip(constant, fit[4])])
+            for method, fit in _fit_zscored(xz, yz, methods).items()}

@@ -90,3 +90,10 @@ class EmptyFile(ParseError):
 
 class MissingSection(CrossBlockError):
     """The report does not contain the section required for this output."""
+
+
+def unwrap(outcome):
+    """Return ``outcome``, or raise it when it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -8,7 +8,7 @@ lifting happens inside BLAS/LAPACK calls that release the GIL.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-# Upper bound on the elements of one chunk of pre-drawn random indices.
+# Upper bound on the elements one stack of draws gathers.
 _DRAW_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -34,18 +34,24 @@ def parallel_map(fn, n_items: int, threads: int = 1) -> list:
 
 
 def map_draws(fn, draw, n_items: int, draw_size: int, threads: int = 1) -> list:
-    """Evaluate fn(i, d_i) for the draws d_0..d_{n_items-1} of one random batch.
+    """Evaluate the draws of one random batch a stack at a time.
 
-    ``draw(k)`` returns the batch's next k draws (indexable, one entry per
-    draw, each of about ``draw_size`` elements). It is called only here, in
-    the calling thread and in index order, in chunks of at most
-    ``_DRAW_CHUNK_ELEMENTS`` elements. No generator is shared between
-    threads and memory stays bounded, while results are identical for any
-    thread count and chunk size. Results come back in index order.
+    ``draw(k)`` returns the batch's next k draws as one stack, each draw
+    gathering about ``draw_size`` elements; it runs only here, in the
+    calling thread and in index order. ``fn(start, stack)`` evaluates a
+    stack whose first draw has index ``start`` and returns one result per
+    draw. Stacks hold at most ``_DRAW_CHUNK_ELEMENTS`` elements and up to
+    ``threads`` run at once, so memory stays bounded. Results come back in
+    draw order, identical for any thread count and stack size.
     """
-    chunk = max(1, _DRAW_CHUNK_ELEMENTS // max(1, draw_size))
-    results = []
-    for start in range(0, n_items, chunk):
-        draws = draw(min(chunk, n_items - start))
-        results += parallel_map(lambda j: fn(start + j, draws[j]), len(draws), threads)
+    most = max(1, _DRAW_CHUNK_ELEMENTS // max(1, draw_size))
+    results, start = [], 0
+    while start < n_items:
+        size = min(most, -(-(n_items - start) // threads))
+        stacks = []
+        while start < n_items and len(stacks) < threads:
+            stacks.append((start, draw(min(size, n_items - start))))
+            start += len(stacks[-1][1])
+        for part in parallel_map(lambda j: fn(*stacks[j]), len(stacks), threads):
+            results += part
     return results

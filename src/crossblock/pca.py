@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, _column_sd, _zscore_values
+from .blocks import _CONSTANT_SD, DataBlock, _constant_errors, _zscored
 from .errors import ShapeMismatch
 from .parallel import map_draws
 from .rng import substream
@@ -55,7 +55,9 @@ class PcaModel:
 
 
 def _fit_values(values: np.ndarray, variance_target: float, labels=None) -> PcaModel:
-    _column_sd(values, labels)  # raises ConstantColumn
+    error = _constant_errors(values.std(axis=0, ddof=1) < _CONSTANT_SD, labels)[0]
+    if error is not None:
+        raise error
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / (values.shape[0] - 1)
     w, v = np.linalg.eigh(cov)
@@ -100,7 +102,7 @@ def component_scores(block: DataBlock, model: PcaModel, n_keep: int | None = Non
     centered = block.values - block.values.mean(axis=0)
     scores = centered @ model.eigenvectors[:, :n_keep]
     labels = tuple(f"pc{j + 1}" for j in range(n_keep))
-    return DataBlock(_zscore_values(scores, labels), labels)
+    return DataBlock(_zscored(scores, labels), labels)
 
 
 def align_to_reference(model: PcaModel, reference: PcaModel) -> PcaModel:
@@ -184,7 +186,7 @@ def pca_stability(
                 for _ in range(k)
             ]
 
-        def one(i: int, d):
+        def one(d):
             idx, orientation = d
             vecs = _fit_values(values[idx], 0.98).eigenvectors * orientation
             if with_alignment:
@@ -192,7 +194,8 @@ def pca_stability(
                 vecs = vecs * np.where(cosines < 0, -1.0, 1.0)
             return np.einsum("ij,ij->j", ref, vecs[:, :n_pc])
 
-        draws = np.stack(map_draws(one, draw, n_iter, size + pop.k, threads))
+        draws = np.stack(map_draws(lambda _, stack: [one(d) for d in stack], draw, n_iter,
+                                   size * pop.k, threads))
         mean[row] = draws.mean(axis=0)
         sd[row] = draws.std(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):

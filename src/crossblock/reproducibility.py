@@ -15,16 +15,17 @@ Each LV's distribution over splits is summarized as z = mean / sd. The z is
 a heuristic: narrow distributions with a non-zero mean score high. Null
 calibration repeats both assessments after permuting Y rows once per
 iteration, which shows what z values to expect when no cross-block
-structure exists.
+structure exists. Partitions are evaluated in stacks, each half gathered
+and z-scored once for every method run in one call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, _zscore_values
-from .decomposition import _cross_matrix, _fit_zscored, check_method
-from .errors import ConstantColumn, ObservationMismatch, RankDeficient
+from .blocks import DataBlock
+from .decomposition import _fit_rows, check_method
+from .errors import ObservationMismatch, unwrap
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
@@ -87,69 +88,77 @@ def _split_half_report(u, v, n_split: int, n_failed: int) -> SplitHalfReport:
 
 
 def _half_indices(perm: np.ndarray):
-    """Split a row permutation into disjoint halves; the larger half trains."""
-    cut = (perm.shape[0] + 1) // 2
-    return perm[:cut], perm[cut:]
+    """Split row permutations (last axis) into halves; the larger half trains."""
+    cut = (perm.shape[-1] + 1) // 2
+    return perm[..., :cut], perm[..., cut:]
 
 
-def _checked_blocks(x: DataBlock, y: DataBlock, n_split: int):
+def _split_stack(xv, yv, draws, labels, methods):
+    """Fit both halves of a stack of draws for every method.
+
+    A draw is a partition, one row of a (b, n) stack, or, in a (b, 2, n)
+    stack, a reordering of Y followed by the partition. Returns, per draw,
+    {method: outcome}: (train/test diagonal, |diag(U1.T U2)|, |diag(V1.T
+    V2)|), the first half training, or the error of the first failing step
+    in the order train X, train Y, test X, test Y (constant columns before
+    the rank guard within a half).
+    """
+    null = draws.ndim == 3
+    halves = [
+        _fit_rows(xv, yv, rows, np.take_along_axis(draws[:, 0], rows, 1) if null else rows,
+                  methods, labels)
+        for rows in _half_indices(draws[:, 1] if null else draws)
+    ]
+    out = {}
+    for method in methods:
+        (u1, _, v1, _, errors1), (u2, _, v2, m2, errors2) = (half[method] for half in halves)
+        diag = np.einsum("...ij,...ik,...kj->...j", u1, m2, v1)
+        u_cos = np.abs(np.einsum("...ij,...ij->...j", u1, u2))
+        v_cos = np.abs(np.einsum("...ij,...ij->...j", v1, v2))
+        out[method] = [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
+                       for i, (e1, e2) in enumerate(zip(errors1, errors2))]
+    return [dict(zip(out, outcomes)) for outcomes in zip(*out.values())]
+
+
+def _split_train_test(xv, yv, method, perm, labels):
+    """Train/test diagonal of one partition, the first half training."""
+    return unwrap(_split_stack(xv, yv, perm[None], labels, (method,))[0][method])[0]
+
+
+def _split_reports(x: DataBlock, y: DataBlock, methods, n_split: int, seed: int,
+                   purpose: str, threads: int, null: bool = False) -> dict:
+    """Both reproducibility reports of one batch of partitions, per method.
+
+    Draw i is the i-th array of row permutations from the (seed, purpose)
+    generator: the partition, preceded under ``null`` by a reordering of Y.
+    Each stack of draws is gathered and z-scored once for every method; a
+    split failing the rank guard or hitting a constant column counts in
+    ``n_failed``. Returns {method: (TrainTestReport, SplitHalfReport)}, or
+    the first split's own error where every split failed."""
     if x.n != y.n:
         raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
     if x.n < 4:
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
-    return x.values, y.values, (x.labels, y.labels)
-
-
-def _zscored_rows(xv, yv, rows, labels):
-    return _zscore_values(xv[rows], labels[0]), _zscore_values(yv[rows], labels[1])
-
-
-def _split_train_test(xv, yv, method, perm, labels):
-    train, test = _half_indices(perm)
-    u, _, v, _ = _fit_zscored(*_zscored_rows(xv, yv, train, labels), method)
-    m_test = _cross_matrix(*_zscored_rows(xv, yv, test, labels), method)
-    return np.einsum("ij,ik,kj->j", u, m_test, v)
-
-
-def _split_both(xv, yv, method, perm, labels):
-    """Fit both halves of one partition; return the train/test diagonal (the
-    first half trains) and the absolute diagonal cosines of U and of V."""
-    half1, half2 = _half_indices(perm)
-    u1, _, v1, _ = _fit_zscored(*_zscored_rows(xv, yv, half1, labels), method)
-    u2, _, v2, m2 = _fit_zscored(*_zscored_rows(xv, yv, half2, labels), method)
-    return (
-        np.einsum("ij,ik,kj->j", u1, m2, v1),
-        np.abs(np.einsum("ij,ij->j", u1, u2)),
-        np.abs(np.einsum("ij,ij->j", v1, v2)),
-    )
-
-
-def _run_splits(split, seed: int, purpose: str, shape: tuple, n_split: int, threads: int):
-    """Run split(d_i) for i in range(n_split).
-
-    d_i is the i-th array of row permutations of the given shape drawn from
-    the (seed, purpose) generator. Returns the outcomes of the splits that
-    completed and the count of splits that failed the rank guard or hit a
-    constant column. When every split fails, the first split's own error is
-    raised, so the message names the block and the cause.
-    """
-
-    def one(i, d):
-        try:
-            return split(d)
-        except (RankDeficient, ConstantColumn) as exc:
-            return exc
-
+    labels = (x.labels, y.labels)
     batch = substream(seed, purpose)
-    results = map_draws(
-        one, lambda k: permutation_rows(batch, (k, *shape)), n_split, int(np.prod(shape)), threads
-    )
-    done = [r for r in results if not isinstance(r, Exception)]
-    if not done:
-        raise results[0]
-    return done, n_split - len(done)
+    shape = (2, x.n) if null else (x.n,)
+    results = map_draws(lambda _, d: _split_stack(x.values, y.values, d, labels, methods),
+                        lambda k: permutation_rows(batch, (k, *shape)), n_split,
+                        x.n * (x.k + y.k), threads)
+    out = {}
+    for method in methods:
+        outcomes = [result[method] for result in results]
+        done = [o for o in outcomes if not isinstance(o, Exception)]
+        if not done:
+            out[method] = outcomes[0]
+            continue
+        s_test, u_cos, v_cos = (np.stack(column) for column in zip(*done))
+        n_failed = n_split - len(done)
+        out[method] = (_train_test_report(s_test, n_split, n_failed),
+                       _split_half_report(u_cos, v_cos, n_split, n_failed))
+    return out
 
 
 def train_test(
@@ -170,12 +179,7 @@ def train_test(
     first split's RankDeficient or ConstantColumn.
     """
     method = check_method(method)
-    xv, yv, labels = _checked_blocks(x, y, n_split)
-    draws, n_failed = _run_splits(
-        lambda perm: _split_train_test(xv, yv, method, perm, labels),
-        seed, "train-test", (x.n,), n_split, threads,
-    )
-    return _train_test_report(np.stack(draws), n_split, n_failed)
+    return unwrap(_split_reports(x, y, (method,), n_split, seed, "train-test", threads)[method])[0]
 
 
 def split_half(
@@ -193,14 +197,7 @@ def split_half(
     |diag(V1.T V2)|. Failed splits are handled as in ``train_test``.
     """
     method = check_method(method)
-    xv, yv, labels = _checked_blocks(x, y, n_split)
-    draws, n_failed = _run_splits(
-        lambda perm: _split_both(xv, yv, method, perm, labels),
-        seed, "split-half", (x.n,), n_split, threads,
-    )
-    return _split_half_report(
-        np.stack([d[1] for d in draws]), np.stack([d[2] for d in draws]), n_split, n_failed
-    )
+    return unwrap(_split_reports(x, y, (method,), n_split, seed, "split-half", threads)[method])[1]
 
 
 def null_calibration(
@@ -222,13 +219,5 @@ def null_calibration(
     how much of an observed z score mere dimensionality produces.
     """
     method = check_method(method)
-    xv, yv, labels = _checked_blocks(x, y, n_split)
-    results, n_failed = _run_splits(
-        lambda pair: _split_both(xv, yv[pair[0]], method, pair[1], labels),
-        seed, "null-calibration", (2, x.n), n_split, threads,
-    )
-    s_test, u_cos, v_cos = (np.stack(column) for column in zip(*results))
-    return (
-        _train_test_report(s_test, n_split, n_failed),
-        _split_half_report(u_cos, v_cos, n_split, n_failed),
-    )
+    return unwrap(_split_reports(x, y, (method,), n_split, seed, "null-calibration", threads,
+                                 null=True)[method])

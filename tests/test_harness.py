@@ -44,6 +44,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(pca_pre=1.5)
 
+    @pytest.mark.parametrize("bad", [True, False, "5", 0, -2, 0.0, 1.0, np.int64(3), [3]])
+    def test_pca_pre_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="pca_pre"):
+            ExperimentConfig(pca_pre=bad)
+
+    @pytest.mark.parametrize("good", [None, 1, 3, 0.5, 0.98])
+    def test_pca_pre_accepted(self, good):
+        assert ExperimentConfig(pca_pre=good).pca_pre == good
+
 
 class TestGuards:
     def test_cca_not_run_when_sample_size_at_or_below_p(self):
