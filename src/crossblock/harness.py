@@ -233,9 +233,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
                for m in config.methods}
     perm = _permutation_tests(x_used, y, [m for m in config.methods if reasons[m] is None],
                               config.n_perm, derive_seed(config.seed, "full-permutation"))
-    for method, result in perm.items():
-        if isinstance(result, RankDeficient):
-            reasons[method] = str(result)
+    reasons.update({m: str(r) for m, r in perm.items() if isinstance(r, RankDeficient)})
     live = [m for m in config.methods if reasons[m] is None]
     boot = _bootstraps(x_used, y, live, config.n_boot,
                        derive_seed(config.seed, "full-bootstrap"), config.threads)

@@ -143,6 +143,8 @@ def _permutation_tests(x, y, methods, n_perm, seed, permutations=None) -> dict:
                              if CCA in methods else (None, None, [None]))
     out = {} if error is None else {CCA: error}
     live = [m for m in methods if m not in out]
+    if not live:
+        return out
 
     def decomposed(m):
         return {k: left @ m @ right if k == CCA else m for k in live}

@@ -141,6 +141,8 @@ def _split_reports(x: DataBlock, y: DataBlock, methods, n_split: int, seed: int,
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
+    if not methods:
+        return {}
     labels = (x.labels, y.labels)
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)

@@ -3,9 +3,9 @@ and the number of linalg calls a batch of draws makes.
 
 Draws are evaluated as stacks, and every method shares each stack. These
 tests pin what that must not change (report bytes, for any stack size and
-thread count) and what it must keep (one batched linalg call per stack,
-not one per draw; one eigh per block for both the rank guard and the
-root, with no eigvalsh).
+thread count; a method's results, whichever methods share its draws) and
+what it must keep (one batched linalg call per stack, not one per draw;
+one eigh per block for both the rank guard and the root, no eigvalsh).
 """
 
 import collections
@@ -18,7 +18,9 @@ from crossblock import (
     DataBlock,
     ExperimentConfig,
     SimulationSpec,
+    bootstrap_ci,
     generate_relevant_subspace,
+    null_calibration,
     run_detectability,
     run_full_sample,
     run_reproducibility_by_n,
@@ -28,7 +30,10 @@ from crossblock import (
 from crossblock.blocks import RANK_REL_TOL, _adjustment_roots
 from crossblock.decomposition import METHODS
 from crossblock.errors import RankDeficient
+from crossblock.inference import _bootstraps
 from crossblock.io import ReportDocument, full_sample_section, subsample_section
+from crossblock.reproducibility import _split_reports
+from test_reference_loops import collinear_unless_rows, sparse_column
 
 
 def test_borderline_rank_guard_gives_roots_or_rank_deficient():
@@ -118,3 +123,20 @@ def test_full_sample_and_reproducibility_sweep_make_no_eigvalsh_call(linalg_call
     run_full_sample(x, y, config)
     run_reproducibility_by_n(x, y, config)
     assert linalg_calls["eigvalsh"] == 0 and linalg_calls["eigh"] > 0
+
+
+@pytest.mark.parametrize("data", [sparse_column, collinear_unless_rows])
+def test_methods_sharing_a_batch_match_separate_calls(data):
+    # redrawn bootstrap slots and failed splits hit one method or both; a
+    # method's results must not depend on which other methods share its draws
+    x, y = data()
+    boots = _bootstraps(x, y, METHODS, 150, 9, 1)
+    splits = _split_reports(x, y, METHODS, 30, 4, "null-calibration", 1, null=True)
+    for method in METHODS:
+        boot = bootstrap_ci(x, y, method, n_boot=150, seed=9)
+        for name in ("us_lower", "us_upper", "vs_lower", "vs_upper"):
+            assert getattr(boots[method], name).tobytes() == getattr(boot, name).tobytes()
+        tt, sh = null_calibration(x, y, method, n_split=30, seed=4)
+        assert splits[method][0].s_test_draws.tobytes() == tt.s_test_draws.tobytes()
+        assert splits[method][1].u_cosine_draws.tobytes() == sh.u_cosine_draws.tobytes()
+        assert splits[method][0].n_failed == tt.n_failed
