@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     ResamplingError,
-    unwrap,
 )
 from .harness import (
     ExperimentConfig,
@@ -42,7 +41,7 @@ from .harness import (
     run_full_sample,
     run_reproducibility_by_n,
 )
-from .inference import _bootstraps, _permutation_tests
+from .inference import bootstrap_ci, permutation_test
 from .io import (
     PLOT_KINDS,
     ReportDocument,
@@ -62,7 +61,7 @@ from .io import (
 )
 from .parallel import default_threads
 from .pca import component_scores, fit_pca, pca_stability
-from .reproducibility import _split_reports
+from .reproducibility import null_calibration, split_half, train_test
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -271,9 +270,7 @@ def _pca_pre(raw):
     return int(value)
 
 
-def _emit(eff: dict, stem: str, kind: str, config: dict, sections: dict) -> list[Path]:
-    """Build the report and write it under ``stem``; print every path written."""
-    report = ReportDocument.build(kind=kind, seed=eff["seed"], config=config, sections=sections)
+def _emit(report: ReportDocument, eff: dict, stem: str) -> list[Path]:
     paths = write_report(report, eff["out_dir"], stem=stem, format=eff["format"])
     for p in paths:
         print(p)
@@ -308,78 +305,109 @@ def _cmd_simulate(args) -> int:
     for name, matrix in (("cov_xx", truth.cov_xx), ("cov_xy", truth.cov_xy),
                          ("cov_yy", truth.cov_yy)):
         print(write_matrix_csv(matrix, out_dir / f"truth_{name}.csv"))
-    _emit(eff, "truth", "simulate", config, {
-        "truth": {
-            "x_eigenvalues": truth.x_eigenvalues,
-            "y_eigenvalues": truth.y_eigenvalues,
-            "latent_cross_cov": truth.latent_cross_cov,
-            "informative_y": truth.informative_y,
-            "relevant_predictors": truth.relevant_predictors,
-            "x_mixing": truth.x_mixing,
-            "y_mixing": truth.y_mixing,
-        }
-    })
+    report = ReportDocument.build(
+        kind="simulate", seed=eff["seed"], config=config,
+        sections={
+            "truth": {
+                "x_eigenvalues": truth.x_eigenvalues,
+                "y_eigenvalues": truth.y_eigenvalues,
+                "latent_cross_cov": truth.latent_cross_cov,
+                "informative_y": truth.informative_y,
+                "relevant_predictors": truth.relevant_predictors,
+                "x_mixing": truth.x_mixing,
+                "y_mixing": truth.y_mixing,
+            }
+        },
+    )
+    _emit(report, eff, "truth")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
                             "permutations", "bootstraps", "splits", "pca_components"))
+    x = load_csv(args.x)
+    y = load_csv(args.y)
     config = ExperimentConfig(
         n_perm=eff["permutations"], n_boot=eff["bootstraps"], n_split=eff["splits"],
         methods=_methods(eff["method"]), pca_pre=_pca_pre(eff["pca_components"]),
         seed=eff["seed"], threads=eff["threads"],
     )
-    result = run_full_sample(load_csv(args.x), load_csv(args.y), config)
-    _emit(eff, "fit", "fit",
-          {k: eff[k] for k in ("method", "permutations", "bootstraps", "splits", "pca_components")},
-          {"full_sample": full_sample_section(result)})
+    result = run_full_sample(x, y, config)
+    report = ReportDocument.build(
+        kind="fit", seed=eff["seed"],
+        config={k: eff[k] for k in ("method", "permutations", "bootstraps", "splits",
+                                    "pca_components")},
+        sections={"full_sample": full_sample_section(result)},
+    )
+    _emit(report, eff, "fit")
     return EXIT_OK
 
 
 def _cmd_permute(args) -> int:
     eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
                             "permutations"))
-    tests = _permutation_tests(load_csv(args.x), load_csv(args.y), _methods(eff["method"]),
-                               eff["permutations"], eff["seed"])
-    _emit(eff, "permute", "permute",
-          {"method": eff["method"], "permutations": eff["permutations"]},
-          {f"permutation_{m}": permutation_section(unwrap(t), include_draws=True)
-           for m, t in tests.items()})
+    x = load_csv(args.x)
+    y = load_csv(args.y)
+    sections = {}
+    for method in _methods(eff["method"]):
+        res = permutation_test(x, y, method, n_perm=eff["permutations"], seed=eff["seed"])
+        sections[f"permutation_{method}"] = permutation_section(res, include_draws=True)
+    report = ReportDocument.build(
+        kind="permute", seed=eff["seed"],
+        config={"method": eff["method"], "permutations": eff["permutations"]},
+        sections=sections,
+    )
+    _emit(report, eff, "permute")
     return EXIT_OK
 
 
 def _cmd_bootstrap(args) -> int:
     eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
                             "bootstraps"))
-    x, y = load_csv(args.x), load_csv(args.y)
-    boots = _bootstraps(x, y, _methods(eff["method"]), eff["bootstraps"], eff["seed"],
-                        eff["threads"])
-    _emit(eff, "bootstrap", "bootstrap",
-          {"method": eff["method"], "bootstraps": eff["bootstraps"]},
-          {f"bootstrap_{m}": bootstrap_section(unwrap(b), x.labels, y.labels)
-           for m, b in boots.items()})
+    x = load_csv(args.x)
+    y = load_csv(args.y)
+    sections = {}
+    for method in _methods(eff["method"]):
+        res = bootstrap_ci(x, y, method, n_boot=eff["bootstraps"], seed=eff["seed"],
+                           threads=eff["threads"])
+        sections[f"bootstrap_{method}"] = bootstrap_section(res, x.labels, y.labels)
+    report = ReportDocument.build(
+        kind="bootstrap", seed=eff["seed"],
+        config={"method": eff["method"], "bootstraps": eff["bootstraps"]},
+        sections=sections,
+    )
+    _emit(report, eff, "bootstrap")
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
     eff = _effective(args, ("seed", "out_dir", "format", "threads", "method", "splits"))
-    x, y = load_csv(args.x), load_csv(args.y)
-    methods = _methods(eff["method"])
-    purposes = ("train-test", "split-half") + (("null-calibration",) if args.null_calibrate else ())
-    reports = [_split_reports(x, y, methods, eff["splits"], eff["seed"], purpose, eff["threads"],
-                              null=purpose == "null-calibration") for purpose in purposes]
+    x = load_csv(args.x)
+    y = load_csv(args.y)
     sections = {}
-    for method in methods:
-        (tt, _), (_, sh), *null = (unwrap(r[method]) for r in reports)
-        body = {"train_test": train_test_section(tt), "split_half": split_half_section(sh)}
-        if null:
-            body["null_train_test"] = train_test_section(null[0][0])
-            body["null_split_half"] = split_half_section(null[0][1])
+    for method in _methods(eff["method"]):
+        tt = train_test(x, y, method, n_split=eff["splits"], seed=eff["seed"],
+                        threads=eff["threads"])
+        sh = split_half(x, y, method, n_split=eff["splits"], seed=eff["seed"],
+                        threads=eff["threads"])
+        body = {
+            "train_test": train_test_section(tt),
+            "split_half": split_half_section(sh),
+        }
+        if args.null_calibrate:
+            ntt, nsh = null_calibration(x, y, method, n_split=eff["splits"],
+                                        seed=eff["seed"], threads=eff["threads"])
+            body["null_train_test"] = train_test_section(ntt)
+            body["null_split_half"] = split_half_section(nsh)
         sections[f"reproducibility_{method}"] = body
-    _emit(eff, "reproduce", "reproduce",
-          {"method": eff["method"], "splits": eff["splits"],
-           "null_calibrate": bool(args.null_calibrate)}, sections)
+    report = ReportDocument.build(
+        kind="reproduce", seed=eff["seed"],
+        config={"method": eff["method"], "splits": eff["splits"],
+                "null_calibrate": bool(args.null_calibrate)},
+        sections=sections,
+    )
+    _emit(report, eff, "reproduce")
     return EXIT_OK
 
 
@@ -399,23 +427,32 @@ def _cmd_sweep(args) -> int:
     else:
         if not args.x or not args.y:
             raise ValueError("--x and --y are required for this sweep kind")
-        x, y = load_csv(args.x), load_csv(args.y)
+        x = load_csv(args.x)
+        y = load_csv(args.y)
         if args.kind == "detectability":
             report_data = run_detectability(x, y, config)
         else:
             report_data = run_reproducibility_by_n(x, y, config)
-    _emit(eff, f"sweep_{args.kind}", f"sweep-{args.kind}",
-          {k: eff[k] for k in ("method", "permutations", "splits", "iterations",
-                               "sample_sizes", "alpha", "pca_components")},
-          {"subsample": subsample_section(report_data)})
+    report = ReportDocument.build(
+        kind=f"sweep-{args.kind}", seed=eff["seed"],
+        config={k: eff[k] for k in ("method", "permutations", "splits", "iterations",
+                                    "sample_sizes", "alpha", "pca_components")},
+        sections={"subsample": subsample_section(report_data)},
+    )
+    _emit(report, eff, f"sweep_{args.kind}")
     return EXIT_OK
 
 
 def _cmd_pca(args) -> int:
     if args.task == "fit":
         eff = _effective(args, ("seed", "out_dir", "format", "threads"))
-        model = fit_pca(load_csv(args.x))
-        _emit(eff, "pca_fit", "pca-fit", {"x": str(args.x)}, {"pca": pca_section(model)})
+        x = load_csv(args.x)
+        model = fit_pca(x)
+        report = ReportDocument.build(
+            kind="pca-fit", seed=eff["seed"], config={"x": str(args.x)},
+            sections={"pca": pca_section(model)},
+        )
+        _emit(report, eff, "pca_fit")
         return EXIT_OK
     if args.task == "scores":
         eff = _effective(args, ("seed", "out_dir", "format", "threads",
@@ -437,10 +474,13 @@ def _cmd_pca(args) -> int:
         x, sample_sizes=eff["sample_sizes"], n_iter=eff["iterations"], n_pc=n_pc,
         with_alignment=args.align, seed=eff["seed"], threads=eff["threads"],
     )
-    _emit(eff, "pca_stability", "pca-stability",
-          {"sample_sizes": eff["sample_sizes"], "iterations": eff["iterations"],
-           "n_pc": n_pc, "align": bool(args.align)},
-          {"pca_stability": pca_stability_section(result)})
+    report = ReportDocument.build(
+        kind="pca-stability", seed=eff["seed"],
+        config={"sample_sizes": eff["sample_sizes"], "iterations": eff["iterations"],
+                "n_pc": n_pc, "align": bool(args.align)},
+        sections={"pca_stability": pca_stability_section(result)},
+    )
+    _emit(report, eff, "pca_stability")
     return EXIT_OK
 
 

@@ -206,31 +206,27 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b
 
 
-def _fit_zscored(xz: np.ndarray, yz: np.ndarray, methods) -> dict:
-    """The resampling kernel: fit every method to one pair of standardized
-    blocks, or to a pair of (b, n, k) stacks of them. Rxy is formed once;
-    CCA adds its whitening, and each method runs one batched SVD. Returns
-    {method: (u, s, v, m, errors)}: m is the decomposed matrix, errors[i]
-    draw i's RankDeficient (CCA only) or None, which makes its fit void."""
-    rxy = _cross_correlation(xz, yz)
-    fits = {}
-    for method in methods:
-        m, errors = rxy, [None] * int(np.prod(rxy.shape[:-2]))
-        if method == CCA:
-            ax, by, errors = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
-            m = ax @ rxy @ by
-        u, s, v = _oriented_svd(m)
-        fits[method] = (u, np.minimum(s, 1.0) if method == CCA else s, v, m, errors)
-    return fits
+def _fit_zscored(xz: np.ndarray, yz: np.ndarray, method: str):
+    """The resampling kernel: fit one pair of standardized blocks, or a pair
+    of (b, n, k) stacks of them, with one batched SVD (CCA whitens Rxy
+    first). Returns (u, s, v, m, errors): m is the decomposed matrix,
+    errors[i] draw i's RankDeficient (CCA only) or None, which makes its
+    fit void."""
+    m = _cross_correlation(xz, yz)
+    errors = [None] * int(np.prod(m.shape[:-2]))
+    if method == CCA:
+        ax, by, errors = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
+        m = ax @ m @ by
+    u, s, v = _oriented_svd(m)
+    return u, np.minimum(s, 1.0) if method == CCA else s, v, m, errors
 
 
-def _fit_rows(xv, yv, x_rows, y_rows, methods, labels=(None, None)) -> dict:
-    """Gather a stack of draws from both blocks, z-score it once and fit every
-    method to it. Returns ``_fit_zscored``'s dict, errors[i] being draw i's
-    ConstantColumn (X before Y) for every method, else CCA's RankDeficient."""
+def _fit_rows(xv, yv, x_rows, y_rows, method: str, labels=(None, None)):
+    """Gather a stack of draws from both blocks, z-score it and fit it.
+    Returns ``_fit_zscored``'s tuple, errors[i] being draw i's ConstantColumn
+    (X before Y), else its RankDeficient."""
     xz, x_constant = _zscore_values(xv[x_rows])
     yz, y_constant = _zscore_values(yv[y_rows])
-    constant = [ex or ey for ex, ey in zip(_constant_errors(x_constant, labels[0]),
-                                           _constant_errors(y_constant, labels[1]))]
-    return {method: (*fit[:4], [c or e for c, e in zip(constant, fit[4])])
-            for method, fit in _fit_zscored(xz, yz, methods).items()}
+    *fit, errors = _fit_zscored(xz, yz, method)
+    constant = zip(_constant_errors(x_constant, labels[0]), _constant_errors(y_constant, labels[1]))
+    return (*fit, [ex or ey or e for (ex, ey), e in zip(constant, errors)])

@@ -29,10 +29,10 @@ The subsamples of one sample size are one batch drawn from the
 (seed, "subsample", size) generator, and each subsample's permutations come
 from a seed derived from (seed, purpose, size, iteration). Reports are
 therefore a pure function of (population data, config) for any thread
-count. Every draw is shared: each resampler runs once for all live
-methods, so PLS and CCA see identical subsamples, permutations, bootstrap
-draws and partitions, each gathered and z-scored once, which keeps their
-comparison paired.
+count. Both methods see identical draws, which keeps their comparison
+paired: no seed is keyed by method, so PLS and CCA get the same
+subsamples, bootstrap draws and partitions, and one permutation matrix per
+subsample is drawn once and passed to both.
 """
 
 from dataclasses import dataclass, field, replace
@@ -42,18 +42,24 @@ import numpy as np
 from .blocks import DataBlock, correlation_bundle
 from .datagen import generate_null
 from .decomposition import CCA, PLS, check_method, fit_cca
-from .errors import ConstantColumn, RankDeficient, unwrap
+from .errors import ConstantColumn, MissingOmega, RankDeficient
 from .inference import (
     BartlettResult,
     BootstrapResult,
     PermutationResult,
-    _bootstraps,
-    _permutation_tests,
     bartlett_test,
+    bootstrap_ci,
+    permutation_matrix,
+    permutation_test,
 )
 from .parallel import map_draws
 from .pca import PcaModel, align_to_reference, component_scores, fit_pca
-from .reproducibility import SplitHalfReport, TrainTestReport, _split_reports
+from .reproducibility import (
+    SplitHalfReport,
+    TrainTestReport,
+    split_half,
+    train_test,
+)
 from .rng import derive_seed, substream
 
 NOT_RUN = "not-run"
@@ -221,42 +227,57 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
 
     Fits every configured method on the full blocks and collects permutation
     p-values, bootstrap stability masks, the chi-square sequence (CCA), and
-    the train/test and split-half z tables. Every resampler runs once for
-    all methods, which share each of its draws. A CCA that fails the size
-    guard, or whose X or Y within-block correlation is rank deficient, is
-    reported as not-run with the reason (the rank failure names the block,
-    its smallest eigenvalue and the tolerance) while the other method's
-    results stand.
+    the train/test and split-half z tables. A CCA that fails the size guard,
+    or whose X or Y within-block correlation is rank deficient, is reported
+    as not-run with the reason (the rank failure names the block, its
+    smallest eigenvalue and the tolerance) while the other method's results
+    stand.
     """
     x_used, pca_model, n_keep = _reduce_x(x, config)
-    reasons = {m: _cca_sample_guard(x_used.n, x_used.k) if m == CCA else None
-               for m in config.methods}
-    perm = _permutation_tests(x_used, y, [m for m in config.methods if reasons[m] is None],
-                              config.n_perm, derive_seed(config.seed, "full-permutation"))
-    reasons.update({m: str(r) for m, r in perm.items() if isinstance(r, RankDeficient)})
-    live = [m for m in config.methods if reasons[m] is None]
-    boot = _bootstraps(x_used, y, live, config.n_boot,
-                       derive_seed(config.seed, "full-bootstrap"), config.threads)
-    tt, sh = (
-        _split_reports(x_used, y, live, config.n_split, derive_seed(config.seed, f"full-{purpose}"),
-                       purpose, config.threads)
-        for purpose in ("train-test", "split-half")
-    )
     entries = []
     for method in config.methods:
-        if reasons[method] is not None:
-            entries.append(MethodFullSample(method, NOT_RUN, reasons[method], *[None] * 5))
+        reason = _cca_sample_guard(x_used.n, x_used.k) if method == CCA else None
+        if reason is None:
+            try:
+                perm = permutation_test(
+                    x_used, y, method, n_perm=config.n_perm,
+                    seed=derive_seed(config.seed, "full-permutation"),
+                )
+            except RankDeficient as exc:
+                reason = str(exc)
+        if reason is not None:
+            entries.append(
+                MethodFullSample(
+                    method=method, status=NOT_RUN, reason=reason,
+                    permutation=None, bootstrap=None, bartlett=None,
+                    train_test_report=None, split_half_report=None,
+                )
+            )
             continue
-        reports = unwrap(boot[method]), unwrap(tt[method])[0], unwrap(sh[method])[1]
+        boot = bootstrap_ci(
+            x_used, y, method, n_boot=config.n_boot,
+            seed=derive_seed(config.seed, "full-bootstrap"),
+            threads=config.threads,
+        )
+        tt = train_test(
+            x_used, y, method, n_split=config.n_split,
+            seed=derive_seed(config.seed, "full-train-test"),
+            threads=config.threads,
+        )
+        sh = split_half(
+            x_used, y, method, n_split=config.n_split,
+            seed=derive_seed(config.seed, "full-split-half"),
+            threads=config.threads,
+        )
         bart = None
         if method == CCA:
             model = fit_cca(correlation_bundle(x_used, y, with_omega=True))
             bart = bartlett_test(model, n=x_used.n, p=x_used.k, q=y.k)
         entries.append(
             MethodFullSample(
-                method=method, status=OK, reason=None, permutation=perm[method],
-                bootstrap=reports[0], bartlett=bart,
-                train_test_report=reports[1], split_half_report=reports[2],
+                method=method, status=OK, reason=None,
+                permutation=perm, bootstrap=boot, bartlett=bart,
+                train_test_report=tt, split_half_report=sh,
             )
         )
     return FullSampleResult(
@@ -306,14 +327,12 @@ def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
     aligned to the population fit when configured. CCA is blocked up front
     when the sample size (the half-sample size when ``half`` is set, as
     split-based assessments need) does not exceed the X variable count.
-    ``evaluate(size, i, xs, ys, methods)`` assesses subsample i once for
-    all the methods not blocked, which share every draw it makes, and
-    returns {method: outcome}; an outcome that is an exception (a constant
-    column, a rank-deficient CCA) records a skip, as does a constant column
-    raised for the whole subsample. ``summarize(outcomes)`` turns a
-    method's completed outcomes into per-LV cell fields and, under
-    "any_lv", the any-LV fraction that studies other than reproducibility
-    report.
+    ``evaluate(size, i, xs, ys)`` returns the function that assesses
+    subsample i for one method; it is called for every method that is not
+    blocked, in config order. A constant column or a rank-deficient CCA
+    records a skip. ``summarize(outcomes)`` turns a method's completed
+    outcomes into per-LV cell fields and, under "any_lv", the any-LV
+    fraction that studies other than reproducibility report.
     """
     _check_population(x, y, config)
     pca_reference = None
@@ -333,9 +352,17 @@ def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
 
         def one(i: int, idx: np.ndarray):
             try:
-                return evaluate(size, i, *_subsample_blocks(x, y, idx, pca_reference), live)
+                xs, ys = _subsample_blocks(x, y, idx, pca_reference)
             except ConstantColumn as exc:
                 return {m: exc for m in live}
+            assess = evaluate(size, i, xs, ys)
+            out = {}
+            for method in live:
+                try:
+                    out[method] = assess(method)
+                except (RankDeficient, MissingOmega, ConstantColumn) as exc:
+                    out[method] = exc
+            return out
 
         results = map_draws(
             lambda start, stack: [one(start + j, idx) for j, idx in enumerate(stack)],
@@ -380,10 +407,13 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
     skips, not fatal.
     """
 
-    def evaluate(size, i, xs, ys, methods):
-        seed = derive_seed(config.seed, "detect-permutation", size, i)
-        tests = _permutation_tests(xs, ys, methods, config.n_perm, seed)
-        return {m: t if isinstance(t, Exception) else t.p_values for m, t in tests.items()}
+    def evaluate(size, i, xs, ys):
+        perms = permutation_matrix(
+            derive_seed(config.seed, "detect-permutation", size, i), config.n_perm, size
+        )
+        return lambda method: permutation_test(
+            xs, ys, method, n_perm=config.n_perm, permutations=perms
+        ).p_values
 
     def summarize(p_values):
         hit = np.stack(p_values) <= config.alpha
@@ -405,14 +435,19 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
     rank guard are marked not-run up front.
     """
 
-    def evaluate(size, i, xs, ys, methods):
-        tt, sh = (
-            _split_reports(xs, ys, methods, config.n_split,
-                           derive_seed(config.seed, f"repro-{purpose}", size, i), purpose, 1)
-            for purpose in ("train-test", "split-half")
-        )
-        return {m: tt[m] if isinstance(tt[m], Exception) else sh[m] if isinstance(sh[m], Exception)
-                else (tt[m][0].z, sh[m][1].z_u, sh[m][1].z_v) for m in methods}
+    def evaluate(size, i, xs, ys):
+        def assess(method):
+            tt = train_test(
+                xs, ys, method, n_split=config.n_split,
+                seed=derive_seed(config.seed, "repro-train-test", size, i),
+            )
+            sh = split_half(
+                xs, ys, method, n_split=config.n_split,
+                seed=derive_seed(config.seed, "repro-split-half", size, i),
+            )
+            return tt.z, sh.z_u, sh.z_v
+
+        return assess
 
     def summarize(outcomes):
         names = ("train_test_z", "split_half_z_u", "split_half_z_v")

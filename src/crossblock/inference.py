@@ -10,7 +10,8 @@ parametric equivalent for PLS.
 
 p-values are exact resampling counts (count / n_perm with a >= comparison),
 so a singular value larger than every permuted draw reports p = 0. Draws are
-evaluated in stacks, and every method run in one call shares each draw.
+evaluated in stacks: each stack is gathered and z-scored at once and
+decomposed by one batched SVD.
 """
 
 from dataclasses import dataclass
@@ -125,32 +126,22 @@ def permutation_test(
         forced-null checks, or one matrix shared by several methods.
     """
     method = check_method(method)
-    return unwrap(_permutation_tests(x, y, (method,), n_perm, seed, permutations)[method])
-
-
-def _permutation_tests(x, y, methods, n_perm, seed, permutations=None) -> dict:
-    """``permutation_test`` of every method in one pass over the permutations.
-    Each chunk of permuted Y rows is gathered and multiplied against X once
-    into ``m``; PLS decomposes ``m`` and CCA ``left @ m @ right``, whitened
-    from the observed data. Returns {method: result}, CCA's result being its
-    RankDeficient when the observed data fail the guard."""
     if n_perm < 1:
         raise ValueError("n_perm must be at least 1")
     xz, yz = _prepared_arrays(x, y)
     n = xz.shape[0]
     scale = 1.0 / (n - 1)
-    left, right, (error,) = (_adjustment_roots(_within_correlation(xz), _within_correlation(yz))
-                             if CCA in methods else (None, None, [None]))
-    out = {} if error is None else {CCA: error}
-    live = [m for m in methods if m not in out]
-    if not live:
-        return out
 
-    def decomposed(m):
-        return {k: left @ m @ right if k == CCA else m for k in live}
+    left = right = None
+    m_obs = xz.T @ yz * scale
+    if method == CCA:
+        left, right, (error,) = _adjustment_roots(_within_correlation(xz),
+                                                  _within_correlation(yz))
+        m_obs = unwrap(error or left) @ m_obs @ right
+    observed_s = np.linalg.svd(m_obs, compute_uv=False)
+    if method == CCA:
+        observed_s = np.minimum(observed_s, 1.0)
 
-    observed = {k: np.linalg.svd(m, compute_uv=False)
-                for k, m in decomposed(xz.T @ yz * scale).items()}
     if permutations is None:
         permutations = permutation_matrix(seed, n_perm, n)
     else:
@@ -158,24 +149,23 @@ def _permutation_tests(x, y, methods, n_perm, seed, permutations=None) -> dict:
         if permutations.shape != (n_perm, n):
             raise ValueError(f"permutations must have shape ({n_perm}, {n})")
 
-    null = {k: np.empty((n_perm, s.shape[0])) for k, s in observed.items()}
+    r = observed_s.shape[0]
+    null_s = np.empty((n_perm, r))
     xt = xz.T
     chunk = max(1, _PERM_CHUNK_ELEMENTS // (n * yz.shape[1]))
     for start in range(0, n_perm, chunk):
         rows = permutations[start : start + chunk]
         m = np.matmul(xt[None, :, :], yz[rows]) * scale  # (c, p, q)
-        for k, mk in decomposed(m).items():
-            null[k][start : start + len(rows)] = np.linalg.svd(mk, compute_uv=False)
-    for k in live:
-        observed_s, null_s = observed[k], null[k]
-        if k == CCA:
-            observed_s = np.minimum(observed_s, 1.0)
-            np.minimum(null_s, 1.0, out=null_s)
-        p_values = (null_s >= observed_s).sum(axis=0) / n_perm
-        out[k] = PermutationResult(
-            observed_s=observed_s, null_s=null_s, p_values=p_values, n_perm=n_perm
-        )
-    return out
+        if method == CCA:
+            m = left @ m @ right
+        null_s[start : start + len(rows)] = np.linalg.svd(m, compute_uv=False)
+    if method == CCA:
+        np.minimum(null_s, 1.0, out=null_s)
+
+    p_values = (null_s >= observed_s).sum(axis=0) / n_perm
+    return PermutationResult(
+        observed_s=observed_s, null_s=null_s, p_values=p_values, n_perm=n_perm
+    )
 
 
 def bootstrap_ci(
@@ -203,71 +193,55 @@ def bootstrap_ci(
     would bias the distribution.
     """
     method = check_method(method)
-    return unwrap(_bootstraps(x, y, (method,), n_boot, seed, threads)[method])
-
-
-def _bootstraps(x, y, methods, n_boot, seed, threads) -> dict:
-    """``bootstrap_ci`` of every method in one pass over shared draws, each
-    stack gathered and z-scored once. A slot with a constant column is
-    redrawn for every method; one failing only CCA's rank guard, for CCA
-    alone. Returns {method: result}; a method that could not run has its
-    error instead: the observed RankDeficient, or the ResamplingError of
-    the first slot out of attempts."""
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    fitted = _fit_zscored(*_prepared_arrays(x, y), methods)
-    out = {m: fit[4][0] for m, fit in fitted.items() if fit[4][0] is not None}
-    observed = {m: (u, u * s, v * s) for m, (u, s, v, _, (e,)) in fitted.items() if e is None}
-    if not observed:
-        return out
+    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(*_prepared_arrays(x, y), method)
+    unwrap(error)
+    us_obs = u_obs * s_obs
+    vs_obs = v_obs * s_obs
     xv, yv, n = x.values, y.values, x.n
 
-    def fits(idx, pending):
-        """Per pending method: [U * s, V * s, failed] for a stack of draws, U
-        and V aligned to the observed U, failed marking the draws to redraw."""
-        drawn = {}
-        for method, (u, s, v, _, errors) in _fit_rows(xv, yv, idx, idx, pending).items():
-            u, v, _ = align_reflections(observed[method][0], u, v)
-            s = s[..., None, :]
-            drawn[method] = [u * s, v * s, [e is not None for e in errors]]
-        return drawn
+    def fits(idx):
+        """U * s and V * s of a stack of draws, aligned to the observed U, and
+        the draws to redraw (a constant column or a CCA rank failure)."""
+        u, s, v, _, errors = _fit_rows(xv, yv, idx, idx, method)
+        u, v, _ = align_reflections(u_obs, u, v)
+        s = s[..., None, :]
+        return u * s, v * s, [e is not None for e in errors]
 
     def evaluate(start, idx):
-        drawn = fits(idx, list(observed))
-        outcomes = [{m: (us[j], vs[j]) for m, (us, vs, _) in drawn.items()}
-                    for j in range(len(idx))]
-        for i in np.flatnonzero(np.any([d[2] for d in drawn.values()], axis=0)):
-            pending = [m for m, d in drawn.items() if d[2][i]]
+        us, vs, failed = fits(idx)
+        draws = list(zip(us, vs))
+        for i in np.flatnonzero(failed):
             retry = substream(seed, "bootstrap-retry", start + i)
             for _ in range(_BOOT_MAX_RETRIES - 1):
-                if not pending:
+                us, vs, (failed,) = fits(retry.integers(0, n, (1, n)))
+                if not failed:
+                    draws[i] = us[0], vs[0]
                     break
-                for m, (us, vs, (failed,)) in fits(retry.integers(0, n, (1, n)), pending).items():
-                    if not failed:
-                        outcomes[i][m] = (us[0], vs[0])
-                        pending.remove(m)
-            for m in pending:
-                outcomes[i][m] = ResamplingError(f"bootstrap iteration {start + i} produced "
-                                                 f"{_BOOT_MAX_RETRIES} degenerate draws in a row")
-        return outcomes
+            else:
+                raise ResamplingError(f"bootstrap iteration {start + i} produced "
+                                      f"{_BOOT_MAX_RETRIES} degenerate draws in a row")
+        return draws
 
     batch = substream(seed, "bootstrap")
-    results = map_draws(evaluate, lambda k: batch.integers(0, n, (k, n)), n_boot,
-                        n * (x.k + y.k), threads)
-    for method, (_, us_obs, vs_obs) in observed.items():
-        drawn = [result[method] for result in results]
-        out[method] = next((d for d in drawn if isinstance(d, Exception)), None)
-        if out[method] is None:
-            us_lower, us_upper = np.percentile(np.stack([d[0] for d in drawn] + [us_obs]),
-                                               [2.5, 97.5], axis=0)
-            vs_lower, vs_upper = np.percentile(np.stack([d[1] for d in drawn] + [vs_obs]),
-                                               [2.5, 97.5], axis=0)
-            out[method] = BootstrapResult(
-                observed_us=us_obs, observed_vs=vs_obs, us_lower=us_lower, us_upper=us_upper,
-                vs_lower=vs_lower, vs_upper=vs_upper, us_stable=(us_lower > 0) | (us_upper < 0),
-                vs_stable=(vs_lower > 0) | (vs_upper < 0), n_boot=n_boot,
-            )
-    return out
+    draws = map_draws(evaluate, lambda k: batch.integers(0, n, (k, n)), n_boot,
+                      n * (x.k + y.k), threads)
+    us_draws = np.stack([d[0] for d in draws] + [us_obs])
+    vs_draws = np.stack([d[1] for d in draws] + [vs_obs])
+    us_lower, us_upper = np.percentile(us_draws, [2.5, 97.5], axis=0)
+    vs_lower, vs_upper = np.percentile(vs_draws, [2.5, 97.5], axis=0)
+    return BootstrapResult(
+        observed_us=us_obs,
+        observed_vs=vs_obs,
+        us_lower=us_lower,
+        us_upper=us_upper,
+        vs_lower=vs_lower,
+        vs_upper=vs_upper,
+        us_stable=(us_lower > 0) | (us_upper < 0),
+        vs_stable=(vs_lower > 0) | (vs_upper < 0),
+        n_boot=n_boot,
+    )
 
 
 def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettResult:

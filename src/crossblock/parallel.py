@@ -41,9 +41,11 @@ def map_draws(fn, draw, n_items: int, draw_size: int, threads: int = 1) -> list:
     calling thread and in index order. ``fn(start, stack)`` evaluates a
     stack whose first draw has index ``start`` and returns one result per
     draw. Stacks hold at most ``_DRAW_CHUNK_ELEMENTS`` elements and up to
-    ``threads`` run at once, so memory stays bounded. Results come back in
-    draw order, identical for any thread count and stack size.
+    ``threads`` run at once (below 1 counts as 1), so memory stays bounded.
+    Results come back in draw order, identical for any thread count and
+    stack size.
     """
+    threads = max(1, threads)
     most = max(1, _DRAW_CHUNK_ELEMENTS // max(1, draw_size))
     results, start = [], 0
     while start < n_items:

@@ -15,8 +15,8 @@ Each LV's distribution over splits is summarized as z = mean / sd. The z is
 a heuristic: narrow distributions with a non-zero mean score high. Null
 calibration repeats both assessments after permuting Y rows once per
 iteration, which shows what z values to expect when no cross-block
-structure exists. Partitions are evaluated in stacks, each half gathered
-and z-scored once for every method run in one call.
+structure exists. Partitions are evaluated in stacks: each half of a stack
+is gathered and z-scored at once and decomposed by one batched SVD.
 """
 
 from dataclasses import dataclass
@@ -93,74 +93,65 @@ def _half_indices(perm: np.ndarray):
     return perm[..., :cut], perm[..., cut:]
 
 
-def _split_stack(xv, yv, draws, labels, methods):
-    """Fit both halves of a stack of draws for every method.
+def _split_stack(xv, yv, draws, labels, method):
+    """Fit both halves of a stack of draws.
 
     A draw is a partition, one row of a (b, n) stack, or, in a (b, 2, n)
     stack, a reordering of Y followed by the partition. Returns, per draw,
-    {method: outcome}: (train/test diagonal, |diag(U1.T U2)|, |diag(V1.T
-    V2)|), the first half training, or the error of the first failing step
-    in the order train X, train Y, test X, test Y (constant columns before
-    the rank guard within a half).
+    (train/test diagonal, |diag(U1.T U2)|, |diag(V1.T V2)|), the first half
+    training, or the error of the first failing step in the order train X,
+    train Y, test X, test Y (constant columns before the rank guard within
+    a half).
     """
     null = draws.ndim == 3
-    halves = [
+    (u1, _, v1, _, errors1), (u2, _, v2, m2, errors2) = (
         _fit_rows(xv, yv, rows, np.take_along_axis(draws[:, 0], rows, 1) if null else rows,
-                  methods, labels)
+                  method, labels)
         for rows in _half_indices(draws[:, 1] if null else draws)
-    ]
-    out = {}
-    for method in methods:
-        (u1, _, v1, _, errors1), (u2, _, v2, m2, errors2) = (half[method] for half in halves)
-        diag = np.einsum("...ij,...ik,...kj->...j", u1, m2, v1)
-        u_cos = np.abs(np.einsum("...ij,...ij->...j", u1, u2))
-        v_cos = np.abs(np.einsum("...ij,...ij->...j", v1, v2))
-        out[method] = [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
-                       for i, (e1, e2) in enumerate(zip(errors1, errors2))]
-    return [dict(zip(out, outcomes)) for outcomes in zip(*out.values())]
+    )
+    diag = np.einsum("...ij,...ik,...kj->...j", u1, m2, v1)
+    u_cos = np.abs(np.einsum("...ij,...ij->...j", u1, u2))
+    v_cos = np.abs(np.einsum("...ij,...ij->...j", v1, v2))
+    return [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
+            for i, (e1, e2) in enumerate(zip(errors1, errors2))]
 
 
 def _split_train_test(xv, yv, method, perm, labels):
     """Train/test diagonal of one partition, the first half training."""
-    return unwrap(_split_stack(xv, yv, perm[None], labels, (method,))[0][method])[0]
+    return unwrap(_split_stack(xv, yv, perm[None], labels, method)[0])[0]
 
 
-def _split_reports(x: DataBlock, y: DataBlock, methods, n_split: int, seed: int,
-                   purpose: str, threads: int, null: bool = False) -> dict:
-    """Both reproducibility reports of one batch of partitions, per method.
+def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,
+                   purpose: str, threads: int, null: bool = False):
+    """Both reproducibility reports of one batch of partitions.
 
     Draw i is the i-th array of row permutations from the (seed, purpose)
     generator: the partition, preceded under ``null`` by a reordering of Y.
-    Each stack of draws is gathered and z-scored once for every method; a
+    Each stack of draws is gathered, z-scored and decomposed at once; a
     split failing the rank guard or hitting a constant column counts in
-    ``n_failed``. Returns {method: (TrainTestReport, SplitHalfReport)}, or
-    the first split's own error where every split failed."""
+    ``n_failed``. Returns (TrainTestReport, SplitHalfReport); when every
+    split fails, the first split's own error is raised, so the message
+    names the block and the cause.
+    """
     if x.n != y.n:
         raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
     if x.n < 4:
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
-    if not methods:
-        return {}
     labels = (x.labels, y.labels)
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)
-    results = map_draws(lambda _, d: _split_stack(x.values, y.values, d, labels, methods),
-                        lambda k: permutation_rows(batch, (k, *shape)), n_split,
-                        x.n * (x.k + y.k), threads)
-    out = {}
-    for method in methods:
-        outcomes = [result[method] for result in results]
-        done = [o for o in outcomes if not isinstance(o, Exception)]
-        if not done:
-            out[method] = outcomes[0]
-            continue
-        s_test, u_cos, v_cos = (np.stack(column) for column in zip(*done))
-        n_failed = n_split - len(done)
-        out[method] = (_train_test_report(s_test, n_split, n_failed),
-                       _split_half_report(u_cos, v_cos, n_split, n_failed))
-    return out
+    outcomes = map_draws(lambda _, d: _split_stack(x.values, y.values, d, labels, method),
+                         lambda k: permutation_rows(batch, (k, *shape)), n_split,
+                         x.n * (x.k + y.k), threads)
+    done = [o for o in outcomes if not isinstance(o, Exception)]
+    if not done:
+        raise outcomes[0]
+    s_test, u_cos, v_cos = (np.stack(column) for column in zip(*done))
+    n_failed = n_split - len(done)
+    return (_train_test_report(s_test, n_split, n_failed),
+            _split_half_report(u_cos, v_cos, n_split, n_failed))
 
 
 def train_test(
@@ -181,7 +172,7 @@ def train_test(
     first split's RankDeficient or ConstantColumn.
     """
     method = check_method(method)
-    return unwrap(_split_reports(x, y, (method,), n_split, seed, "train-test", threads)[method])[0]
+    return _split_reports(x, y, method, n_split, seed, "train-test", threads)[0]
 
 
 def split_half(
@@ -199,7 +190,7 @@ def split_half(
     |diag(V1.T V2)|. Failed splits are handled as in ``train_test``.
     """
     method = check_method(method)
-    return unwrap(_split_reports(x, y, (method,), n_split, seed, "split-half", threads)[method])[1]
+    return _split_reports(x, y, method, n_split, seed, "split-half", threads)[1]
 
 
 def null_calibration(
@@ -221,5 +212,4 @@ def null_calibration(
     how much of an observed z score mere dimensionality produces.
     """
     method = check_method(method)
-    return unwrap(_split_reports(x, y, (method,), n_split, seed, "null-calibration", threads,
-                                 null=True)[method])
+    return _split_reports(x, y, method, n_split, seed, "null-calibration", threads, null=True)

@@ -1,14 +1,18 @@
 """The stacked resampling kernel: rank guard, stack and thread invariance,
 and the number of linalg calls a batch of draws makes.
 
-Draws are evaluated as stacks, and every method shares each stack. These
-tests pin what that must not change (report bytes, for any stack size and
-thread count; a method's results, whichever methods share its draws) and
-what it must keep (one batched linalg call per stack, not one per draw;
-one eigh per block for both the rank guard and the root, no eigvalsh).
+Draws are evaluated as stacks. These tests pin what that must not change
+(report bytes, for any stack size and thread count, a thread count below
+1 counting as 1) and what it must keep (one batched linalg call per stack,
+not one per draw; one eigh per block for both the rank guard and the
+root, no eigvalsh).
 """
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,7 @@ from crossblock import (
     DataBlock,
     ExperimentConfig,
     SimulationSpec,
-    bootstrap_ci,
     generate_relevant_subspace,
-    null_calibration,
     run_detectability,
     run_full_sample,
     run_reproducibility_by_n,
@@ -30,10 +32,7 @@ from crossblock import (
 from crossblock.blocks import RANK_REL_TOL, _adjustment_roots
 from crossblock.decomposition import METHODS
 from crossblock.errors import RankDeficient
-from crossblock.inference import _bootstraps
-from crossblock.io import ReportDocument, full_sample_section, subsample_section
-from crossblock.reproducibility import _split_reports
-from test_reference_loops import collinear_unless_rows, sparse_column
+from crossblock.io import ReportDocument, full_sample_section, subsample_section, write_block_csv
 
 
 def test_borderline_rank_guard_gives_roots_or_rank_deficient():
@@ -125,18 +124,46 @@ def test_full_sample_and_reproducibility_sweep_make_no_eigvalsh_call(linalg_call
     assert linalg_calls["eigvalsh"] == 0 and linalg_calls["eigh"] > 0
 
 
-@pytest.mark.parametrize("data", [sparse_column, collinear_unless_rows])
-def test_methods_sharing_a_batch_match_separate_calls(data):
-    # redrawn bootstrap slots and failed splits hit one method or both; a
-    # method's results must not depend on which other methods share its draws
-    x, y = data()
-    boots = _bootstraps(x, y, METHODS, 150, 9, 1)
-    splits = _split_reports(x, y, METHODS, 30, 4, "null-calibration", 1, null=True)
-    for method in METHODS:
-        boot = bootstrap_ci(x, y, method, n_boot=150, seed=9)
-        for name in ("us_lower", "us_upper", "vs_lower", "vs_upper"):
-            assert getattr(boots[method], name).tobytes() == getattr(boot, name).tobytes()
-        tt, sh = null_calibration(x, y, method, n_split=30, seed=4)
-        assert splits[method][0].s_test_draws.tobytes() == tt.s_test_draws.tobytes()
-        assert splits[method][1].u_cosine_draws.tobytes() == sh.u_cosine_draws.tobytes()
-        assert splits[method][0].n_failed == tt.n_failed
+@pytest.mark.parametrize("threads", [0, -1])
+def test_map_draws_counts_threads_below_one_as_one(threads, monkeypatch):
+    rounds = []
+
+    def bounded(fn, n_items, threads=1, _map=parallel.parallel_map):
+        rounds.append(n_items)
+        assert len(rounds) <= 14, "map_draws makes no progress"  # 7 draws, two runs
+        return _map(fn, n_items, threads)
+
+    monkeypatch.setattr(parallel, "parallel_map", bounded)
+    drawn = []
+
+    def draw(k):
+        assert 1 <= k <= 7 - len(drawn)  # fails where an unclamped count would loop
+        drawn.extend(range(len(drawn), len(drawn) + k))
+        return np.arange(len(drawn) - k, len(drawn))
+
+    def fn(start, stack):
+        return [(start, int(d)) for d in stack]
+
+    got = parallel.map_draws(fn, draw, 7, 3, threads)
+    drawn.clear()
+    assert got == parallel.map_draws(fn, draw, 7, 3, 1)
+
+
+def test_cli_threads_below_one_run_serially(tmp_path):
+    x, y = population()
+    write_block_csv(x, tmp_path / "x.csv")
+    write_block_csv(y, tmp_path / "y.csv")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    reports = set()
+    for threads in ("1", "0", "-1"):
+        out = tmp_path / f"t{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "crossblock", "fit", "--x", str(tmp_path / "x.csv"),
+             "--y", str(tmp_path / "y.csv"), "--permutations", "20", "--bootstraps", "100",
+             "--splits", "6", "--seed", "2", "--threads", threads, "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports.add((out / "fit.json").read_bytes())
+    assert len(reports) == 1
