@@ -30,6 +30,7 @@ from .errors import (
 RANK_REL_TOL = 1e-13
 
 _CONSTANT_SD = 1e-12
+_ZSCORE_ROWS = 256
 _SYM_TOL = 1e-10
 
 
@@ -118,13 +119,23 @@ class CorrelationBundle:
 
 
 def _zscore_values(values: np.ndarray):
-    """Center and scale columns (axis -1) of one (n, k) block or a (b, n, k)
-    stack of draws to unit sample sd. Returns the z-scores and the (..., k)
-    mask of columns with sd below 1e-12, which are centred but not scaled."""
-    sd = values.std(axis=-2, ddof=1)
+    """Center and scale, in place, the columns of a C-ordered (n, k) block or
+    (b, n, k) stack of draws to unit sample sd; returns ``values`` and the
+    (..., k) mask of columns with sd below 1e-12 (centred, not scaled). Rows
+    are squared ``_ZSCORE_ROWS`` at a time, so temporaries stay small (heap,
+    not mmap), and the sum is carried: numpy sums several columns row by row,
+    so that is bit-identical to one pass (a lone column sums pairwise: one block)."""
+    n, k = values.shape[-2:]
+    values -= values.mean(axis=-2, keepdims=True)
+    rows = n if k == 1 else _ZSCORE_ROWS
+    ss = np.square(values[..., :rows, :]).sum(axis=-2)
+    for start in range(rows, n, rows):
+        block = np.square(values[..., start : start + rows, :])
+        ss = np.concatenate([ss[..., None, :], block], axis=-2).sum(axis=-2)
+    sd = np.sqrt(ss / (n - 1))
     constant = sd < _CONSTANT_SD
-    scale = np.where(constant, 1.0, sd)[..., None, :]
-    return (values - values.mean(axis=-2, keepdims=True)) / scale, constant
+    values /= np.where(constant, 1.0, sd)[..., None, :]
+    return values, constant
 
 
 def _constant_errors(constant: np.ndarray, labels=None) -> list:
@@ -136,8 +147,15 @@ def _constant_errors(constant: np.ndarray, labels=None) -> list:
 
 def _zscored(values: np.ndarray, labels=None) -> np.ndarray:
     """Z-scores of one block; ConstantColumn names its first constant column."""
-    z, constant = _zscore_values(values)
+    z, constant = _zscore_values(np.array(values, dtype=np.float64))
     return unwrap(_constant_errors(constant, labels)[0] or z)
+
+
+def _zscored_pair(x: DataBlock, y: DataBlock):
+    """Z-scores of a pair of blocks, which must have matching rows."""
+    if x.n != y.n:
+        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
+    return _zscored(x.values, x.labels), _zscored(y.values, y.labels)
 
 
 def zscore_columns(block: DataBlock) -> DataBlock:
@@ -221,10 +239,7 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
         If ``with_omega`` is set and a within-block matrix has an eigenvalue
         below the rank tolerance.
     """
-    if x.n != y.n:
-        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
-    xz = _zscored(x.values, x.labels)
-    yz = _zscored(y.values, y.labels)
+    xz, yz = _zscored_pair(x, y)
     rxx = _within_correlation(xz)
     ryy = _within_correlation(yz)
     rxy = _cross_correlation(xz, yz)

@@ -9,8 +9,8 @@ vector weights. The chi-square test applies to CCA only; there is no
 parametric equivalent for PLS.
 
 p-values are exact resampling counts (count / n_perm with a >= comparison),
-so a singular value larger than every permuted draw reports p = 0. Draws are
-evaluated in stacks: each stack is gathered and z-scored at once and
+so a singular value larger than every permuted draw reports p = 0. Both
+resamplers draw through ``map_draws`` in stacks, each gathered at once and
 decomposed by one batched SVD.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, _adjustment_roots, _within_correlation, _zscored
+from .blocks import DataBlock, _adjustment_roots, _within_correlation, _zscored_pair
 from .decomposition import (
     CCA,
     CrossBlockModel,
@@ -27,11 +27,10 @@ from .decomposition import (
     align_reflections,
     check_method,
 )
-from .errors import MethodMismatch, ObservationMismatch, ResamplingError, unwrap
+from .errors import MethodMismatch, ResamplingError, unwrap
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
-_PERM_CHUNK_ELEMENTS = 4_000_000
 _BOOT_MAX_RETRIES = 100
 
 
@@ -83,12 +82,6 @@ class BartlettResult:
     tests: tuple[BartlettTest, ...]
 
 
-def _prepared_arrays(x: DataBlock, y: DataBlock):
-    if x.n != y.n:
-        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
-    return _zscored(x.values, x.labels), _zscored(y.values, y.labels)
-
-
 def permutation_matrix(seed: int, n_perm: int, n: int) -> np.ndarray:
     """The (n_perm, n) row permutations ``permutation_test`` draws for ``seed``.
 
@@ -112,8 +105,8 @@ def permutation_test(
     fixed, the model is refitted, and LV k's observed singular value is
     compared against the distribution of permuted LV-k values. Permutation
     i is row i of ``permutation_matrix(seed, n_perm, n)``: the i-th
-    permutation drawn from the (seed, "permutation") generator. The matrix
-    is drawn before any SVD, so the chunk size never changes results.
+    permutation drawn from the (seed, "permutation") generator. The matrix is
+    drawn a stack at a time, never whole; the stack size never changes results.
 
     Because a row permutation leaves each block's own correlation matrix
     unchanged, the within-block adjustment for CCA is computed once from the
@@ -128,7 +121,7 @@ def permutation_test(
     method = check_method(method)
     if n_perm < 1:
         raise ValueError("n_perm must be at least 1")
-    xz, yz = _prepared_arrays(x, y)
+    xz, yz = _zscored_pair(x, y)
     n = xz.shape[0]
     scale = 1.0 / (n - 1)
 
@@ -143,22 +136,29 @@ def permutation_test(
         observed_s = np.minimum(observed_s, 1.0)
 
     if permutations is None:
-        permutations = permutation_matrix(seed, n_perm, n)
+        batch = substream(seed, "permutation")
+        draw = lambda k: permutation_rows(batch, (k, n))
     else:
         permutations = np.asarray(permutations)
         if permutations.shape != (n_perm, n):
             raise ValueError(f"permutations must have shape ({n_perm}, {n})")
+        taken = 0
 
-    r = observed_s.shape[0]
-    null_s = np.empty((n_perm, r))
-    xt = xz.T
-    chunk = max(1, _PERM_CHUNK_ELEMENTS // (n * yz.shape[1]))
-    for start in range(0, n_perm, chunk):
-        rows = permutations[start : start + chunk]
-        m = np.matmul(xt[None, :, :], yz[rows]) * scale  # (c, p, q)
+        def draw(k):
+            nonlocal taken
+            taken += k
+            return permutations[taken - k : taken]
+
+    null_s = np.empty((n_perm, observed_s.shape[0]))
+
+    def evaluate(start, perms):
+        m = np.matmul(xz.T[None, :, :], yz[perms]) * scale  # (c, p, q)
         if method == CCA:
             m = left @ m @ right
-        null_s[start : start + len(rows)] = np.linalg.svd(m, compute_uv=False)
+        null_s[start : start + len(perms)] = np.linalg.svd(m, compute_uv=False)
+        return ()  # the stack's results are in null_s
+
+    map_draws(evaluate, draw, n_perm, n * yz.shape[1])
     if method == CCA:
         np.minimum(null_s, 1.0, out=null_s)
 
@@ -195,7 +195,7 @@ def bootstrap_ci(
     method = check_method(method)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(*_prepared_arrays(x, y), method)
+    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(*_zscored_pair(x, y), method)
     unwrap(error)
     us_obs = u_obs * s_obs
     vs_obs = v_obs * s_obs

@@ -8,7 +8,7 @@ lifting happens inside BLAS/LAPACK calls that release the GIL.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-# Upper bound on the elements one stack of draws gathers.
+# Every resampler's one working-set budget: the most elements a stack of draws gathers.
 _DRAW_CHUNK_ELEMENTS = 1 << 18
 
 

@@ -1,5 +1,6 @@
 """The stacked resampling kernel: rank guard, stack and thread invariance,
-and the number of linalg calls a batch of draws makes.
+the number of linalg calls a batch of draws makes, and the permutation
+test's working set.
 
 Draws are evaluated as stacks. These tests pin what that must not change
 (report bytes, for any stack size and thread count, a thread count below
@@ -12,6 +13,7 @@ import collections
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,9 @@ from crossblock import (
     DataBlock,
     ExperimentConfig,
     SimulationSpec,
+    generate_null,
     generate_relevant_subspace,
+    permutation_test,
     run_detectability,
     run_full_sample,
     run_reproducibility_by_n,
@@ -30,8 +34,9 @@ from crossblock import (
     train_test,
 )
 from crossblock.blocks import RANK_REL_TOL, _adjustment_roots
-from crossblock.decomposition import METHODS
+from crossblock.decomposition import METHODS, PLS
 from crossblock.errors import RankDeficient
+from crossblock.inference import permutation_matrix
 from crossblock.io import ReportDocument, full_sample_section, subsample_section, write_block_csv
 
 
@@ -122,6 +127,36 @@ def test_full_sample_and_reproducibility_sweep_make_no_eigvalsh_call(linalg_call
     run_full_sample(x, y, config)
     run_reproducibility_by_n(x, y, config)
     assert linalg_calls["eigvalsh"] == 0 and linalg_calls["eigh"] > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_streamed_permutations_equal_the_explicit_matrix(method):
+    ds = generate_null(2000, 5, 4, seed=8)
+    per_stack = parallel._DRAW_CHUNK_ELEMENTS // (2000 * 4)
+    n_perm = 3 * per_stack + 1  # four stacks, the last one short
+    streamed = permutation_test(ds.x, ds.y, method, n_perm=n_perm, seed=6)
+    explicit = permutation_test(ds.x, ds.y, method, n_perm=n_perm, seed=6,
+                                permutations=permutation_matrix(6, n_perm, 2000))
+    assert streamed.null_s.tobytes() == explicit.null_s.tobytes()
+    assert streamed.p_values.tobytes() == explicit.p_values.tobytes()
+
+
+def test_permutation_working_set_does_not_grow_with_n_perm():
+    # permutations are drawn a stack at a time, so ten times the draws add
+    # only their null singular values, not a (n_perm, n) matrix or gather
+    ds = generate_null(5000, 6, 4, seed=9)
+
+    def peak(n_perm):
+        tracemalloc.start()
+        try:
+            result = permutation_test(ds.x, ds.y, PLS, n_perm=n_perm, seed=2)
+            return tracemalloc.get_traced_memory()[1], result.null_s.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small, small_null = peak(100)
+    large, large_null = peak(1000)
+    assert large - small <= large_null - small_null + 1024  # and a few Python ints
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import crossblock.inference as inference
 import crossblock.parallel as parallel
 from crossblock import (
     DataBlock,
@@ -168,9 +167,9 @@ class TestPrefix:
 
 def test_permutation_chunk_size_invariance(blocks, monkeypatch):
     x, y = blocks
-    monkeypatch.setattr(inference, "_PERM_CHUNK_ELEMENTS", 1)  # one row per chunk
+    monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", 1)  # one row per chunk
     one_row = permutation_test(x, y, PLS, n_perm=50, seed=4)
-    monkeypatch.setattr(inference, "_PERM_CHUNK_ELEMENTS", 10**9)  # all rows at once
+    monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", 10**9)  # all rows at once
     all_rows = permutation_test(x, y, PLS, n_perm=50, seed=4)
     assert one_row.null_s.tobytes() == all_rows.null_s.tobytes()
     assert one_row.p_values.tobytes() == all_rows.p_values.tobytes()
@@ -195,7 +194,7 @@ def test_reports_identical_across_threads_and_chunk_sizes(kind, monkeypatch):
     reference = _report_bytes(kind, threads=1)
     for threads in (2, 8):
         assert _report_bytes(kind, threads) == reference
-    # one draw per chunk, and one permutation row per SVD batch
-    monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", 1)
-    monkeypatch.setattr(inference, "_PERM_CHUNK_ELEMENTS", 1)
-    assert _report_bytes(kind, threads=2) == reference
+    # one draw (one permutation row) per stack, and each batch in one stack
+    for elements in (1, 10**9):
+        monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", elements)
+        assert _report_bytes(kind, threads=2) == reference
