@@ -6,7 +6,9 @@ grid search over projection angles rather than any decomposition, the
 inverse matrix square root is cross-checked through scipy's Schur-based
 sqrtm followed by an explicit inverse, and subsample detection rates come
 from numpy's own default_rng draws, plain z-scoring and batched SVDs rather
-than crossblock's random streams, harness or permutation test.
+than crossblock's random streams, harness or permutation test. Canonical
+correlations to full accuracy come from Householder QR of each centred
+block, never from a correlation matrix.
 """
 
 import math
@@ -102,3 +104,16 @@ def subsample_detection_count(
         null = np.linalg.svd(np.matmul(xz.T, yz[perms]), compute_uv=False)[:, 0]
         hits += np.count_nonzero(null >= observed) / n_perm <= alpha
     return int(hits)
+
+
+def qr_canonical_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Canonical correlations from Householder QR (Björck & Golub 1973).
+
+    Each block is centred and reduced to the orthonormal Q factor of its
+    thin QR; the canonical correlations are the singular values of
+    Qx' Qy. No correlation or Gram matrix is formed, so the accuracy
+    depends on each block's condition number, not on its square.
+    """
+    qx = np.linalg.qr(x - x.mean(axis=0))[0]
+    qy = np.linalg.qr(y - y.mean(axis=0))[0]
+    return np.linalg.svd(qx.T @ qy, compute_uv=False)
