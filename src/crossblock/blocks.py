@@ -7,7 +7,9 @@ matrix used for canonical correlation (the cross-correlations pre- and
 post-multiplied by the symmetric inverse square roots of the within-block
 correlations), and the spectral utilities those computations rest on.
 
-Sample statistics use n - 1 denominators throughout.
+Resamplers evaluate their draws from a PreparedPair: the pair's rows in a
+fixed basis, prepared once, from which any draw's moments are weighted sums
+over rows. Sample statistics use n - 1 denominators throughout.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +32,11 @@ from .errors import (
 RANK_REL_TOL = 1e-13
 
 _CONSTANT_SD = 1e-12
+# A draw's column is constant when its variance, in units of the full sample's
+# variance, is at most this: its sd is at most 1e-6 of the full sample's.
+_CONSTANT_DRAW_VAR = 1e-12
+# Rows that moment sums and whitening take at once.
+_SUM_ROWS = 2048
 _ZSCORE_ROWS = 256
 _SYM_TOL = 1e-10
 
@@ -151,13 +158,6 @@ def _zscored(values: np.ndarray, labels=None) -> np.ndarray:
     return unwrap(_constant_errors(constant, labels)[0] or z)
 
 
-def _zscored_pair(x: DataBlock, y: DataBlock):
-    """Z-scores of a pair of blocks, which must have matching rows."""
-    if x.n != y.n:
-        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
-    return _zscored(x.values, x.labels), _zscored(y.values, y.labels)
-
-
 def zscore_columns(block: DataBlock) -> DataBlock:
     """Return a copy of the block with zero-mean, unit-sd columns.
 
@@ -210,10 +210,6 @@ def _within_correlation(z: np.ndarray) -> np.ndarray:
     return (r + r.swapaxes(-1, -2)) / 2.0
 
 
-def _cross_correlation(xz: np.ndarray, yz: np.ndarray) -> np.ndarray:
-    return xz.swapaxes(-1, -2) @ yz / (xz.shape[-2] - 1)
-
-
 def _adjustment_roots(rxx: np.ndarray, ryy: np.ndarray):
     """Inverse square roots of both within-block matrices (a pair, or a pair
     of stacks), with rank guard: one eigh per block. Returns (ax, by, errors),
@@ -228,8 +224,9 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
 
     Both blocks are standardized internally, so the result is invariant to
     per-column affine rescaling of the inputs. When ``with_omega`` is set the
-    adjusted cross-block matrix is computed as well, which requires both
-    within-block correlation matrices to be full rank.
+    adjusted cross-block matrix is computed as well, from the whitened pair
+    of ``prepare_pair``, which requires both within-block correlation
+    matrices to be full rank.
 
     Raises
     ------
@@ -239,12 +236,106 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
         If ``with_omega`` is set and a within-block matrix has an eigenvalue
         below the rank tolerance.
     """
-    xz, yz = _zscored_pair(x, y)
-    rxx = _within_correlation(xz)
-    ryy = _within_correlation(yz)
-    rxy = _cross_correlation(xz, yz)
+    pair = prepare_pair(x, y)
+    r = pair.moments(pair.sums())[0]  # the z-scores' covariances
+    rxy = r[: x.k, x.k :]
     omega = None
     if with_omega:
-        ax, by, (error,) = _adjustment_roots(rxx, ryy)
-        omega = unwrap(error or ax) @ rxy @ by
-    return CorrelationBundle(rxx=rxx, ryy=ryy, rxy=rxy, ryx=rxy.T.copy(), omega=omega)
+        from .decomposition import _fit_zscored  # the fitting kernel builds on this module
+
+        pair = prepare_pair(x, y, whiten=True)
+        *_, omega, (error,) = _fit_zscored(pair, pair.sums())
+        unwrap(error)
+    return CorrelationBundle(rxx=r[: x.k, : x.k], ryy=r[x.k :, x.k :], rxy=rxy,
+                             ryx=rxy.T.copy(), omega=omega)
+
+
+@dataclass(frozen=True)
+class PreparedPair:
+    """A block pair prepared once for every draw a resampler evaluates.
+
+    ``data`` is (n, 1 + p + q): a column of ones, then X's basis, then Y's:
+    the z-scores, or (CCA) the z-scores whitened so that each block's Gram
+    is (n - 1) I, with ``roots`` holding each block's map B back (z = w B).
+    A draw's moments are ``sums``: row-weighted sums of outer products.
+    """
+
+    data: np.ndarray
+    p: int
+    labels: tuple[str, ...]
+    roots: tuple[np.ndarray, np.ndarray] | None = None
+
+    def sums(self, rows=slice(None), y_rows=None) -> np.ndarray:
+        """Sums g' g over all rows, or over each draw of a (..., m) stack of
+        row draws, a row weighted by how often its draw takes it; ``y_rows``
+        pairs other rows' Y with those X rows. [0, 0] is the total weight."""
+        if isinstance(rows, slice):
+            g = self.data[rows]
+            return g.T @ g
+        total = 0.0
+        for start in range(0, rows.shape[-1], _SUM_ROWS):  # a small gather at a time
+            g = self.data[rows[..., start : start + _SUM_ROWS]]
+            if y_rows is not None:
+                g[..., 1 + self.p :] = self.data[y_rows[..., start : start + _SUM_ROWS], 1 + self.p :]
+            total = total + g.swapaxes(-1, -2) @ g
+        return total
+
+    def moments(self, sums: np.ndarray):
+        """Covariances in the basis, each column's z-basis sd and the mask of
+        columns constant on the draw (sd 1 stands in for theirs), for one
+        draw's sums or a stack."""
+        count = sums[..., :1, :1]
+        mean = sums[..., :1, 1:] / count
+        cov = (sums[..., 1:, 1:] - count * mean.swapaxes(-1, -2) * mean) / (count - 1)
+        if self.roots is None:
+            var = np.diagonal(cov, axis1=-2, axis2=-1)
+        else:
+            var = np.concatenate([np.einsum("ji,...jk,ki->...i", b, cov[..., part, part], b)
+                                  for b, part in zip(self.roots, _parts(self.p))], axis=-1)
+        constant = var <= _CONSTANT_DRAW_VAR
+        return cov, np.sqrt(np.where(constant, 1.0, var)), constant
+
+
+def _parts(p: int):
+    """The X and Y column ranges of a pair's basis."""
+    return slice(0, p), slice(p, None)
+
+
+def _right_multiply(z: np.ndarray, a: np.ndarray):
+    """z = z @ a in place, ``_SUM_ROWS`` rows at a time, so temporaries stay small."""
+    for start in range(0, len(z), _SUM_ROWS):
+        z[start : start + _SUM_ROWS] = z[start : start + _SUM_ROWS] @ a
+
+
+def prepare_pair(x: DataBlock, y: DataBlock, whiten: bool = False) -> PreparedPair:
+    """Z-score a pair of blocks once and, when ``whiten`` is set, whiten each
+    block by CholeskyQR2: first by the symmetric inverse root of its
+    correlation matrix, whose eigh is also the rank guard, then by the
+    Cholesky factor of what that leaves, so the Gram is (n - 1) I to
+    roundoff however ill-conditioned the block.
+
+    Raises ObservationMismatch, ConstantColumn naming the first constant
+    column (X before Y) and, when whitening, RankDeficient naming the block.
+    """
+    if x.n != y.n:
+        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
+    labels = x.labels + y.labels
+    data = np.empty((x.n, 1 + x.k + y.k))
+    data[:, 0] = 1.0
+    data[:, 1 : 1 + x.k] = x.values
+    data[:, 1 + x.k :] = y.values
+    _, constant = _zscore_values(data[:, 1:])
+    unwrap(_constant_errors(constant, labels)[0])
+    if not whiten:
+        return PreparedPair(data, x.k, labels)
+    blocks = [data[:, 1:][:, part] for part in _parts(x.k)]
+    r = [_within_correlation(z) for z in blocks]
+    *first, (error,) = _adjustment_roots(*r)
+    unwrap(error)
+    roots = []
+    for z, rz, a in zip(blocks, r, first):
+        _right_multiply(z, a)
+        second = np.linalg.cholesky(_within_correlation(z)).T  # upper: second' second = Gram / (n - 1)
+        _right_multiply(z, np.linalg.inv(second))
+        roots.append(second @ (rz @ a))  # z = w @ second @ R^(1/2), R^(1/2) = R @ R^(-1/2)
+    return PreparedPair(data, x.k, labels, tuple(roots))

@@ -351,7 +351,8 @@ def _cmd_permute(args) -> int:
     y = load_csv(args.y)
     sections = {}
     for method in _methods(eff["method"]):
-        res = permutation_test(x, y, method, n_perm=eff["permutations"], seed=eff["seed"])
+        res = permutation_test(x, y, method, n_perm=eff["permutations"], seed=eff["seed"],
+                               threads=eff["threads"])
         sections[f"permutation_{method}"] = permutation_section(res, include_draws=True)
     report = ReportDocument.build(
         kind="permute", seed=eff["seed"],

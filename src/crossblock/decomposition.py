@@ -20,22 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    RANK_REL_TOL,
     CorrelationBundle,
-    _adjustment_roots,
+    PreparedPair,
     _constant_errors,
-    _cross_correlation,
-    _within_correlation,
-    _zscore_values,
+    _parts,
     inverse_sqrt_sym,
 )
-from .errors import MethodMismatch, MissingOmega, ShapeMismatch
+from .errors import MethodMismatch, MissingOmega, RankDeficient, ShapeMismatch
 
 PLS = "pls"
 CCA = "cca"
 METHODS = (PLS, CCA)
 
+# Versions the arithmetic that turns data into reported numbers; written into
+# every report's metadata. Contract 1 evaluates every draw from weighted
+# moments of a pair prepared once, and CCA in a whitened basis.
+NUMERICS_CONTRACT = 1
+
 _ORTHO_TOL = 1e-8
-_CCA_UNIT_SLACK = 1e-8
 
 
 def check_method(method: str) -> str:
@@ -105,14 +108,19 @@ class CanonicalCoefficients:
                 raise ValueError(f"{name} has entries outside the correlation range")
 
 
-def _oriented_svd(m: np.ndarray):
-    """Thin SVD of one matrix or a stack, each LV oriented so its
-    largest-|entry| U weight is positive."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+def _oriented(u, s, v):
+    """Orient each LV of one fit or a stack so that its largest-|entry| U
+    weight is positive, flipping the paired V column with it."""
     lead = np.argmax(np.abs(u), axis=-2)[..., None, :]
     signs = np.sign(np.take_along_axis(u, lead, axis=-2))
     signs[signs == 0] = 1.0
-    return u * signs, s, vt.swapaxes(-1, -2) * signs
+    return u * signs, s, v * signs
+
+
+def _oriented_svd(m: np.ndarray):
+    """Thin SVD of one matrix or a stack, each LV oriented."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return _oriented(u, s, vt.swapaxes(-1, -2))
 
 
 def fit_pls(bundle: CorrelationBundle) -> CrossBlockModel:
@@ -126,22 +134,13 @@ def fit_cca(bundle: CorrelationBundle) -> CrossBlockModel:
 
     The bundle must have been built with ``with_omega=True``; a bundle whose
     adjusted matrix is absent (for example because a within-block matrix was
-    rank deficient) raises MissingOmega. Singular values within roundoff of
-    the unit bound are clipped to 1.
+    rank deficient) raises MissingOmega.
     """
     if bundle.omega is None:
         raise MissingOmega(
             "bundle has no adjusted cross-block matrix; rebuild with with_omega=True"
         )
     u, s, v = _oriented_svd(bundle.omega)
-    over = s > 1.0
-    if np.any(s > 1.0 + _CCA_UNIT_SLACK):
-        raise ValueError(
-            f"canonical correlation {s.max():.12f} exceeds 1 beyond roundoff; "
-            "the within-block matrices are too ill-conditioned"
-        )
-    if np.any(over):
-        s = np.minimum(s, 1.0)
     return CrossBlockModel(method=CCA, u=u, s=s, v=v)
 
 
@@ -206,27 +205,54 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ b
 
 
-def _fit_zscored(xz: np.ndarray, yz: np.ndarray, method: str):
-    """The resampling kernel: fit one pair of standardized blocks, or a pair
-    of (b, n, k) stacks of them, with one batched SVD (CCA whitens Rxy
-    first). Returns (u, s, v, m, errors): m is the decomposed matrix,
-    errors[i] draw i's RankDeficient (CCA only) or None, which makes its
-    fit void."""
-    m = _cross_correlation(xz, yz)
-    errors = [None] * int(np.prod(m.shape[:-2]))
-    if method == CCA:
-        ax, by, errors = _adjustment_roots(_within_correlation(xz), _within_correlation(yz))
-        m = ax @ m @ by
-    u, s, v = _oriented_svd(m)
-    return u, np.minimum(s, 1.0) if method == CCA else s, v, m, errors
+def _gram_factor(g: np.ndarray) -> np.ndarray:
+    """Upper triangular f with f' f = g, for one matrix or a stack. A matrix
+    that is not positive definite (a degenerate draw, which the rank guard
+    then fails) gets f = sqrt(w) V' from its eigh, with negative roundoff
+    clipped, so the rest of its stack keeps its Cholesky factors."""
+    try:
+        return np.linalg.cholesky(g).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        if g.ndim > 2:
+            return np.stack([_gram_factor(m) for m in g])
+        w, v = np.linalg.eigh(g)
+        return np.sqrt(np.maximum(w, 0.0))[:, None] * v.T
 
 
-def _fit_rows(xv, yv, x_rows, y_rows, method: str, labels=(None, None)):
-    """Gather a stack of draws from both blocks, z-score it and fit it.
-    Returns ``_fit_zscored``'s tuple, errors[i] being draw i's ConstantColumn
-    (X before Y), else its RankDeficient."""
-    xz, x_constant = _zscore_values(xv[x_rows])
-    yz, y_constant = _zscore_values(yv[y_rows])
-    *fit, errors = _fit_zscored(xz, yz, method)
-    constant = zip(_constant_errors(x_constant, labels[0]), _constant_errors(y_constant, labels[1]))
-    return (*fit, [ex or ey or e for (ex, ey), e in zip(constant, errors)])
+def _fit_zscored(pair: PreparedPair, sums: np.ndarray):
+    """The fitting kernel: fit one draw, or a stack, from its moment sums
+    over a prepared pair (``PreparedPair.sums``), with results in each
+    draw's own z-basis. Returns (u, s, v, m, errors): m is the draw's
+    decomposed z-basis matrix, errors[i] draw i's ConstantColumn (X before
+    Y), else its RankDeficient (CCA), or None.
+
+    PLS decomposes the draw's cross-correlations. CCA works in the pair's
+    whitened basis, where a draw's Gram G is near the identity: with f' f = G
+    per block, the canonical correlations are the singular values of
+    K = fx^-T Gxy fy^-1, which loses no digits to the blocks' condition. The
+    draw's z-basis correlation is L' L with L = f B / sd, so the singular
+    values of L give the rank guard its eigenvalues, and L's orthogonal polar
+    factor P maps K into the z-basis: m = Px' K Py, U = Px' Uk, V = Py' Vk.
+    """
+    cov, sd, constant = pair.moments(sums)
+    errors = _constant_errors(constant, pair.labels)
+    x, y = _parts(pair.p)
+    if pair.roots is None:
+        m = cov[..., x, y] / (sd[..., x, None] * sd[..., None, y])
+        return (*_oriented_svd(m), m, errors)
+    inverses, polars = [], []
+    for name, part, root in zip("xy", (x, y), pair.roots):
+        f = _gram_factor(cov[..., part, part])
+        ul, sl, vlt = np.linalg.svd(f @ root / sd[..., None, part])
+        ev = np.square(sl)  # the draw's z-basis correlation eigenvalues, descending
+        bad = (ev[..., 0] <= 0) | (ev[..., -1] < RANK_REL_TOL * ev[..., 0])
+        errors = [e or (RankDeficient(name, float(w[-1]), RANK_REL_TOL * max(float(w[0]), 0.0))
+                        if b else None)
+                  for e, b, w in zip(errors, bad.reshape(-1), ev.reshape(-1, ev.shape[-1]))]
+        bad |= constant[..., part].any(axis=-1)  # a failed draw's f need not be invertible
+        inverses.append(np.linalg.inv(np.where(bad[..., None, None], np.eye(f.shape[-1]), f)))
+        polars.append((ul @ vlt).swapaxes(-1, -2))
+    k = inverses[0].swapaxes(-1, -2) @ cov[..., x, y] @ inverses[1]
+    uk, s, vkt = np.linalg.svd(k, full_matrices=False)
+    u, s, v = _oriented(polars[0] @ uk, s, polars[1] @ vkt.swapaxes(-1, -2))
+    return u, s, v, polars[0] @ k @ polars[1].swapaxes(-1, -2), errors

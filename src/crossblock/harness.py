@@ -39,15 +39,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import DataBlock, correlation_bundle
+from .blocks import DataBlock
 from .datagen import generate_null
-from .decomposition import CCA, PLS, check_method, fit_cca
+from .decomposition import CCA, PLS, check_method
 from .errors import ConstantColumn, MissingOmega, RankDeficient
 from .inference import (
     BartlettResult,
     BootstrapResult,
     PermutationResult,
-    bartlett_test,
+    _bartlett,
     bootstrap_ci,
     permutation_matrix,
     permutation_test,
@@ -242,6 +242,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
                 perm = permutation_test(
                     x_used, y, method, n_perm=config.n_perm,
                     seed=derive_seed(config.seed, "full-permutation"),
+                    threads=config.threads,
                 )
             except RankDeficient as exc:
                 reason = str(exc)
@@ -270,9 +271,8 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
             threads=config.threads,
         )
         bart = None
-        if method == CCA:
-            model = fit_cca(correlation_bundle(x_used, y, with_omega=True))
-            bart = bartlett_test(model, n=x_used.n, p=x_used.k, q=y.k)
+        if method == CCA:  # on the permutation test's observed canonical correlations
+            bart = _bartlett(perm.observed_s, n=x_used.n, p=x_used.k, q=y.k)
         entries.append(
             MethodFullSample(
                 method=method, status=OK, reason=None,
@@ -351,17 +351,19 @@ def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
         live = [m for m in config.methods if blocked[m] is None]
 
         def one(i: int, idx: np.ndarray):
+            # a skip keeps its exception without the traceback, whose frames
+            # would pin the subsample's blocks and permutations
             try:
                 xs, ys = _subsample_blocks(x, y, idx, pca_reference)
             except ConstantColumn as exc:
-                return {m: exc for m in live}
+                return {m: exc.with_traceback(None) for m in live}
             assess = evaluate(size, i, xs, ys)
             out = {}
             for method in live:
                 try:
                     out[method] = assess(method)
                 except (RankDeficient, MissingOmega, ConstantColumn) as exc:
-                    out[method] = exc
+                    out[method] = exc.with_traceback(None)
             return out
 
         results = map_draws(

@@ -10,23 +10,17 @@ parametric equivalent for PLS.
 
 p-values are exact resampling counts (count / n_perm with a >= comparison),
 so a singular value larger than every permuted draw reports p = 0. Both
-resamplers draw through ``map_draws`` in stacks, each gathered at once and
-decomposed by one batched SVD.
+resamplers prepare the block pair once (``prepare_pair``) and draw through
+``map_draws`` in stacks, each evaluated from weighted moments of the
+prepared rows and decomposed by one batched SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, _adjustment_roots, _within_correlation, _zscored_pair
-from .decomposition import (
-    CCA,
-    CrossBlockModel,
-    _fit_rows,
-    _fit_zscored,
-    align_reflections,
-    check_method,
-)
+from .blocks import DataBlock, prepare_pair
+from .decomposition import CCA, CrossBlockModel, _fit_zscored, align_reflections, check_method
 from .errors import MethodMismatch, ResamplingError, unwrap
 from .parallel import map_draws
 from .rng import permutation_rows, substream
@@ -98,6 +92,7 @@ def permutation_test(
     n_perm: int = 1000,
     seed: int = 0,
     permutations: np.ndarray | None = None,
+    threads: int = 1,
 ) -> PermutationResult:
     """Positional permutation test of the singular values.
 
@@ -106,11 +101,13 @@ def permutation_test(
     compared against the distribution of permuted LV-k values. Permutation
     i is row i of ``permutation_matrix(seed, n_perm, n)``: the i-th
     permutation drawn from the (seed, "permutation") generator. The matrix is
-    drawn a stack at a time, never whole; the stack size never changes results.
+    drawn a stack at a time, never whole; neither the stack size nor
+    ``threads`` changes results.
 
-    Because a row permutation leaves each block's own correlation matrix
-    unchanged, the within-block adjustment for CCA is computed once from the
-    observed data; a permuted draw can never newly fail the rank guard.
+    A row permutation leaves each block's own correlation matrix unchanged,
+    so CCA whitens each block once (``prepare_pair``) and a permuted draw is
+    the plain cross product of the whitened blocks, as for PLS on the
+    z-scores; a permuted draw can never newly fail the rank guard.
 
     Parameters
     ----------
@@ -121,19 +118,11 @@ def permutation_test(
     method = check_method(method)
     if n_perm < 1:
         raise ValueError("n_perm must be at least 1")
-    xz, yz = _zscored_pair(x, y)
-    n = xz.shape[0]
+    pair = prepare_pair(x, y, whiten=method == CCA)
+    n, p = x.n, x.k
     scale = 1.0 / (n - 1)
-
-    left = right = None
-    m_obs = xz.T @ yz * scale
-    if method == CCA:
-        left, right, (error,) = _adjustment_roots(_within_correlation(xz),
-                                                  _within_correlation(yz))
-        m_obs = unwrap(error or left) @ m_obs @ right
-    observed_s = np.linalg.svd(m_obs, compute_uv=False)
-    if method == CCA:
-        observed_s = np.minimum(observed_s, 1.0)
+    xb, yb = pair.data[:, 1 : 1 + p], pair.data[:, 1 + p :]
+    observed_s = np.linalg.svd(xb.T @ yb * scale, compute_uv=False)
 
     if permutations is None:
         batch = substream(seed, "permutation")
@@ -152,15 +141,11 @@ def permutation_test(
     null_s = np.empty((n_perm, observed_s.shape[0]))
 
     def evaluate(start, perms):
-        m = np.matmul(xz.T[None, :, :], yz[perms]) * scale  # (c, p, q)
-        if method == CCA:
-            m = left @ m @ right
+        m = np.matmul(xb.T, yb[perms]) * scale  # (c, p, q)
         null_s[start : start + len(perms)] = np.linalg.svd(m, compute_uv=False)
         return ()  # the stack's results are in null_s
 
-    map_draws(evaluate, draw, n_perm, n * yz.shape[1])
-    if method == CCA:
-        np.minimum(null_s, 1.0, out=null_s)
+    map_draws(evaluate, draw, n_perm, n * y.k, threads)
 
     p_values = (null_s >= observed_s).sum(axis=0) / n_perm
     return PermutationResult(
@@ -195,16 +180,17 @@ def bootstrap_ci(
     method = check_method(method)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(*_zscored_pair(x, y), method)
+    pair = prepare_pair(x, y, whiten=method == CCA)
+    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(pair, pair.sums())
     unwrap(error)
     us_obs = u_obs * s_obs
     vs_obs = v_obs * s_obs
-    xv, yv, n = x.values, y.values, x.n
+    n = x.n
 
     def fits(idx):
         """U * s and V * s of a stack of draws, aligned to the observed U, and
         the draws to redraw (a constant column or a CCA rank failure)."""
-        u, s, v, _, errors = _fit_rows(xv, yv, idx, idx, method)
+        u, s, v, _, errors = _fit_zscored(pair, pair.sums(idx))
         u, v, _ = align_reflections(u_obs, u, v)
         s = s[..., None, :]
         return u * s, v * s, [e is not None for e in errors]
@@ -226,7 +212,7 @@ def bootstrap_ci(
 
     batch = substream(seed, "bootstrap")
     draws = map_draws(evaluate, lambda k: batch.integers(0, n, (k, n)), n_boot,
-                      n * (x.k + y.k), threads)
+                      n * pair.data.shape[1], threads)
     us_draws = np.stack([d[0] for d in draws] + [us_obs])
     vs_draws = np.stack([d[1] for d in draws] + [vs_obs])
     us_lower, us_upper = np.percentile(us_draws, [2.5, 97.5], axis=0)
@@ -250,12 +236,10 @@ def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettRes
     The test starting at LV k asks whether canonical correlations k..r are
     jointly zero: chi_square = -(n - 1 - (p + q + 1)/2) * sum_{i>=k}
     ln(1 - s_i^2) on (p - k + 1)(q - k + 1) degrees of freedom, with the
-    p-value from the upper tail. scipy is imported here, not at module load,
-    so that commands that never run this test do not pay for it;
+    p-value from the upper tail. scipy is imported when a test runs, not at
+    module load, so that commands that never run this test do not pay for it;
     ``chdtrc`` is the function ``scipy.stats.chi2.sf`` evaluates.
     """
-    from scipy.special import chdtrc
-
     if model.method != CCA:
         raise MethodMismatch("the chi-square test applies to CCA models only")
     if p != model.u.shape[0] or q != model.v.shape[0]:
@@ -263,13 +247,19 @@ def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettRes
             f"stated dimensions ({p}, {q}) do not match the model "
             f"({model.u.shape[0]}, {model.v.shape[0]})"
         )
+    return _bartlett(model.s, n, p, q)
+
+
+def _bartlett(s: np.ndarray, n: int, p: int, q: int) -> BartlettResult:
+    """``bartlett_test`` on canonical correlations s of a fit of n rows."""
+    from scipy.special import chdtrc
+
     if n <= p + q:
         raise ValueError(f"need n > p + q, got n={n}, p={p}, q={q}")
-    s = model.s
     mult = n - 1 - (p + q + 1) / 2
     log_terms = np.log1p(-np.square(s))
     tests = []
-    for k in range(1, model.r + 1):
+    for k in range(1, len(s) + 1):
         stat = -mult * float(np.sum(log_terms[k - 1 :]))
         df = (p - k + 1) * (q - k + 1)
         tests.append(

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import DataBlock
+from .decomposition import NUMERICS_CONTRACT
 from .errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
 from .harness import FullSampleResult, SubsampleReport
 from .inference import BartlettResult, BootstrapResult, PermutationResult
@@ -188,6 +189,7 @@ class ReportDocument:
                         "kind": kind,
                         "seed": seed,
                         "stream_contract": STREAM_CONTRACT,
+                        "numerics_contract": NUMERICS_CONTRACT,
                         "created_at": _timestamp(),
                         "config": config,
                     },

@@ -15,16 +15,18 @@ Each LV's distribution over splits is summarized as z = mean / sd. The z is
 a heuristic: narrow distributions with a non-zero mean score high. Null
 calibration repeats both assessments after permuting Y rows once per
 iteration, which shows what z values to expect when no cross-block
-structure exists. Partitions are evaluated in stacks: each half of a stack
-is gathered and z-scored at once and decomposed by one batched SVD.
+structure exists. The block pair is prepared once per call, and partitions
+are evaluated in stacks: the first halves' moments are gathered at once,
+the second halves' are the whole sample's minus the first halves' (Chan,
+Golub & LeVeque 1983), and both halves are decomposed by one batched SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock
-from .decomposition import _fit_rows, check_method
+from .blocks import DataBlock, prepare_pair
+from .decomposition import CCA, _fit_zscored, check_method
 from .errors import ObservationMismatch, unwrap
 from .parallel import map_draws
 from .rng import permutation_rows, substream
@@ -70,31 +72,14 @@ def _distribution_z(draws: np.ndarray):
     return z, degenerate
 
 
-def _train_test_report(s_test: np.ndarray, n_split: int, n_failed: int) -> TrainTestReport:
-    z, degenerate = _distribution_z(s_test)
-    return TrainTestReport(
-        s_test_draws=s_test, z=z, degenerate=degenerate, n_split=n_split, n_failed=n_failed
-    )
-
-
-def _split_half_report(u, v, n_split: int, n_failed: int) -> SplitHalfReport:
-    z_u, degenerate_u = _distribution_z(u)
-    z_v, degenerate_v = _distribution_z(v)
-    return SplitHalfReport(
-        u_cosine_draws=u, v_cosine_draws=v, z_u=z_u, z_v=z_v,
-        degenerate_u=degenerate_u, degenerate_v=degenerate_v,
-        n_split=n_split, n_failed=n_failed,
-    )
-
-
 def _half_indices(perm: np.ndarray):
     """Split row permutations (last axis) into halves; the larger half trains."""
     cut = (perm.shape[-1] + 1) // 2
     return perm[..., :cut], perm[..., cut:]
 
 
-def _split_stack(xv, yv, draws, labels, method):
-    """Fit both halves of a stack of draws.
+def _split_stack(pair, full, draws):
+    """Fit both halves of a stack of draws; ``full`` is ``pair.sums()``.
 
     A draw is a partition, one row of a (b, n) stack, or, in a (b, 2, n)
     stack, a reordering of Y followed by the partition. Returns, per draw,
@@ -104,21 +89,25 @@ def _split_stack(xv, yv, draws, labels, method):
     a half).
     """
     null = draws.ndim == 3
-    (u1, _, v1, _, errors1), (u2, _, v2, m2, errors2) = (
-        _fit_rows(xv, yv, rows, np.take_along_axis(draws[:, 0], rows, 1) if null else rows,
-                  method, labels)
-        for rows in _half_indices(draws[:, 1] if null else draws)
-    )
-    diag = np.einsum("...ij,...ik,...kj->...j", u1, m2, v1)
-    u_cos = np.abs(np.einsum("...ij,...ij->...j", u1, u2))
-    v_cos = np.abs(np.einsum("...ij,...ij->...j", v1, v2))
+    halves = _half_indices(draws[:, 1] if null else draws)
+    if null:  # a reordered Y: the second half's cross sums are not the sample's
+        sums = [pair.sums(rows, np.take_along_axis(draws[:, 0], rows, 1)) for rows in halves]
+    else:
+        first = pair.sums(halves[0])
+        sums = [first, full - first]
+    u, _, v, m, errors = _fit_zscored(pair, np.stack(sums))
+    diag = np.einsum("...ij,...ik,...kj->...j", u[0], m[1], v[0])
+    u_cos = np.abs(np.einsum("...ij,...ij->...j", u[0], u[1]))
+    v_cos = np.abs(np.einsum("...ij,...ij->...j", v[0], v[1]))
+    b = len(draws)
     return [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
-            for i, (e1, e2) in enumerate(zip(errors1, errors2))]
+            for i, (e1, e2) in enumerate(zip(errors[:b], errors[b:]))]
 
 
 def _split_train_test(xv, yv, method, perm, labels):
     """Train/test diagonal of one partition, the first half training."""
-    return unwrap(_split_stack(xv, yv, perm[None], labels, method)[0])[0]
+    pair = prepare_pair(DataBlock(xv, labels[0]), DataBlock(yv, labels[1]), method == CCA)
+    return unwrap(_split_stack(pair, pair.sums(), perm[None])[0])[0]
 
 
 def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,
@@ -127,11 +116,11 @@ def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: 
 
     Draw i is the i-th array of row permutations from the (seed, purpose)
     generator: the partition, preceded under ``null`` by a reordering of Y.
-    Each stack of draws is gathered, z-scored and decomposed at once; a
-    split failing the rank guard or hitting a constant column counts in
-    ``n_failed``. Returns (TrainTestReport, SplitHalfReport); when every
-    split fails, the first split's own error is raised, so the message
-    names the block and the cause.
+    The pair is prepared once and each stack of draws is evaluated from its
+    moments at once; a split failing the rank guard or hitting a constant
+    column counts in ``n_failed``. Returns (TrainTestReport,
+    SplitHalfReport); when every split fails, the first split's own error
+    is raised, so the message names the block and the cause.
     """
     if x.n != y.n:
         raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
@@ -139,19 +128,25 @@ def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: 
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
-    labels = (x.labels, y.labels)
+    pair = prepare_pair(x, y, whiten=method == CCA)
+    full = pair.sums()
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)
-    outcomes = map_draws(lambda _, d: _split_stack(x.values, y.values, d, labels, method),
+    outcomes = map_draws(lambda _, d: _split_stack(pair, full, d),
                          lambda k: permutation_rows(batch, (k, *shape)), n_split,
-                         x.n * (x.k + y.k), threads)
+                         x.n * pair.data.shape[1], threads)
     done = [o for o in outcomes if not isinstance(o, Exception)]
     if not done:
         raise outcomes[0]
     s_test, u_cos, v_cos = (np.stack(column) for column in zip(*done))
     n_failed = n_split - len(done)
-    return (_train_test_report(s_test, n_split, n_failed),
-            _split_half_report(u_cos, v_cos, n_split, n_failed))
+    (z, degenerate), (z_u, degenerate_u), (z_v, degenerate_v) = map(
+        _distribution_z, (s_test, u_cos, v_cos))
+    return (TrainTestReport(s_test_draws=s_test, z=z, degenerate=degenerate,
+                            n_split=n_split, n_failed=n_failed),
+            SplitHalfReport(u_cosine_draws=u_cos, v_cosine_draws=v_cos, z_u=z_u, z_v=z_v,
+                            degenerate_u=degenerate_u, degenerate_v=degenerate_v,
+                            n_split=n_split, n_failed=n_failed))
 
 
 def train_test(

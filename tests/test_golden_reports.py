@@ -104,19 +104,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "detect-cca-blocked": "9bbe3c9beb412c04ef681c8b4ea07e8c5758c5bb3c7d1b9412111c0bf3f24ef5",
-    "detect-constant-skips": "799f101589bb9c3294ffd3107a23d71033e24c8eea651508b86e201eab2e327b",
-    "detect-pca-fraction": "bbb73d51b576934adeee98b7de8f40b76d183d66e702d35684538853272394bf",
-    "detect-pca-int": "e719523268284effeeefbf4dea64bb58373b002d5102a8fd05cf0dcccab3cdb6",
-    "detect-plain": "610aa8135537d0bbda9285bb6441cc9565bd0f343c7aec386a7c32853ee0d6ba",
-    "detect-pls-only": "93bcf076b21c445e1b712d7e6e211386bc46de62e766e087f1b6bdaebcd64c76",
-    "fpr": "0c616fafdf0526a7b9b41ae25853759c690d69985f165c9e0bb52534471fb2f0",
-    "full-pca": "af29616c4e11b33181afac9b53c555b2457c1b7a711b0f14fbdd98fcc49eb790",
-    "full-plain": "5c29cbac2894e609b18715aab2c30bda049c7210ca7638681886ae1acbf00a0a",
-    "repro-constant-skips": "206037eac5823cb6d7b453483f9df4cd54729e8655ace935c9ce7f1d62faf42f",
-    "repro-half-guard": "ca6445da6a95995fa3bd844d49842cc04fea78a6cdc08dad3fe79518b62365ac",
-    "repro-pca": "2ed65048fe19b9de172aa279cd009bbf057ced17d06e475de85a107cd7440ff4",
-    "repro-plain": "a2fe72d2f67e958f1f0a8e4c5436588e716a38cb02f9c8558f8228d04aa5e3c7",
+    "detect-cca-blocked": "348e2eb6fdb61ac1be622d1b7fdda0f10d226e762f3a178615a6979fe18e487f",
+    "detect-constant-skips": "cb8c71145f72cb88f3771d1812e0078eb171b529e4b42ed93902163e244cacbb",
+    "detect-pca-fraction": "87a2b7dc71fab5a5f78692673f37ab4be0e5ed23b4ee8dc0fa0d9e0fb2dfba14",
+    "detect-pca-int": "e2bceec858dac70427e513b73ae44dea2570bf6c2465703860f460da02f776b8",
+    "detect-plain": "7c61c9c74749368516da80e265be69eab4964b077cdc61fd0bcf92ff82f7f92c",
+    "detect-pls-only": "9084d4f42d26a75e94d1e3be65abaeac73a90ae9cc873b9228fc4b6b992f00a5",
+    "fpr": "8a7481e17887af00e31c75e2e8885e54102e7fb671324d1516af45e32f5746f2",
+    "full-pca": "b1dc80e803aa9c5705f9d3c3f02985a3ee405c566e2086a3ef0d01578e1341b1",
+    "full-plain": "ebcefeb6c7c1b41a4eccebc7882dd5a0904fc153ce1e05661a2d5c8e0a306694",
+    "repro-constant-skips": "80fceb030aa455c87b885e2f9cc599665ef027931a6c9a99633b1f6aa7b1f53c",
+    "repro-half-guard": "cf82e3e69f6afbd092cf1181f250fb2ee9b378f4a92a736de0c3d456335e3cd9",
+    "repro-pca": "08cdd87c0d3888426d60cbcf42388939a58925d21353b4acef50bb35fc8c073f",
+    "repro-plain": "d7564b0cbf7ac9d45b165848ab5796c52b7663d5743c6ce3cdf33d3f3b131e1b",
 }
 
 

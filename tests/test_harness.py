@@ -155,3 +155,31 @@ class TestNullSelfCheck:
         for cell in rep.cells:
             if cell.status == OK:
                 assert 0.0 <= cell.detectability <= cfg.alpha + 0.04
+
+
+def test_skipped_subsamples_do_not_pin_memory():
+    """A skip keeps its exception, not the traceback whose frames hold the
+    subsample's blocks and permutation matrix, so the sweep's peak traced
+    memory stays flat as the number of skipped CCA subsamples grows."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    xv = rng.normal(size=(2000, 3))
+    xv[10:, 1] = xv[10:, 0]  # a subsample missing rows 0-9 fails the CCA rank guard
+    x = DataBlock(xv, ("a", "b", "c"))
+    y = DataBlock(rng.normal(size=(2000, 2)), ("p", "q"))
+
+    def sweep(n_iterations):
+        config = ExperimentConfig(sample_sizes=(100,), n_iterations=n_iterations, n_perm=200,
+                                  methods=(CCA,), seed=3)
+        tracemalloc.start()
+        try:
+            report = run_detectability(x, y, config)
+            return tracemalloc.get_traced_memory()[1], report.cell(CCA, 100, 1).n_skipped
+        finally:
+            tracemalloc.stop()
+
+    (small, small_skips), (large, large_skips) = sweep(8), sweep(40)
+    assert large_skips - small_skips >= 15
+    # each pinned skip would hold its 200 x 100 permutation matrix, 160 kB
+    assert large - small < 400_000

@@ -18,6 +18,7 @@ from crossblock import (
     run_full_sample,
 )
 import crossblock.io as crossblock_io
+import crossblock.parallel as parallel
 from crossblock.blocks import DataBlock
 from crossblock.cli import main
 from crossblock.errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
@@ -336,6 +337,34 @@ class TestCli:
         metadata = json.loads(reports[0])["metadata"]
         assert metadata["stream_contract"] == 2
         assert "threads" not in metadata["config"]
+
+    @pytest.mark.parametrize("command", [
+        ("permute", "--permutations", "40"),
+        ("fit", "--permutations", "40", "--bootstraps", "100", "--splits", "6"),
+    ])
+    def test_permutation_threads_leave_reports_unchanged(self, tmp_path, command):
+        data = tmp_path / "data"
+        self.run("simulate", "null", "--n", "150", "--p", "3", "--q", "2",
+                 "--seed", "4", "--out-dir", str(data))
+        args = (*command, "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                "--seed", "11")
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            seen = []
+
+            def recording(*a):  # the resamplers' thread count is map_draws's last argument
+                seen.append(a[-1])
+                return parallel.map_draws(*a)
+
+            with mock.patch("crossblock.inference.map_draws", recording):
+                assert self.run(*args, "--threads", threads, "--out-dir", str(out)) == 0
+            assert set(seen) == {int(threads)}
+            [path] = out.glob("*.json")
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        metadata = json.loads(reports[0])["metadata"]
+        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 1
 
     def test_simulate_subspace_writes_truth(self, tmp_path):
         data = tmp_path / "sub"

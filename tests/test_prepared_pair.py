@@ -1,0 +1,130 @@
+"""The prepared pair and the moment kernel: accuracy against the QR oracle,
+the rank guard near its tolerance, and the constant-column rule of draws.
+
+Every resampler evaluates its draws from moment sums of a pair prepared
+once (``prepare_pair``, ``PreparedPair.sums``) through one kernel
+(``decomposition._fit_zscored``). CCA runs in a whitened basis, so its
+canonical correlations keep full accuracy on ill-conditioned blocks, where
+the correlation matrices' eigh roots lose digits to the squared condition
+number.
+"""
+
+import numpy as np
+import pytest
+
+from crossblock import (
+    DataBlock,
+    SimulationSpec,
+    bootstrap_ci,
+    correlation_bundle,
+    fit_cca,
+    generate_relevant_subspace,
+    permutation_test,
+)
+from crossblock.blocks import RANK_REL_TOL, PreparedPair, _adjustment_roots, prepare_pair
+from crossblock.decomposition import CCA, _fit_zscored
+from crossblock.errors import ConstantColumn, RankDeficient
+from crossblock.rng import substream
+
+from oracles import qr_canonical_correlations
+
+QR_TOL = 1e-10
+
+
+def labelled(values, prefix):
+    return DataBlock(values, tuple(f"{prefix}{j}" for j in range(values.shape[1])))
+
+
+def near_collinear(seed=1, n=200, p=12, q=6, eps=1e-5):
+    """Every X column is x0 plus eps times its own noise: the correlation
+    matrix's condition number is near 1/eps^2, inside the rank guard."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, p))
+    xv = base[:, :1] + eps * base
+    xv[:, 0] = base[:, 0]
+    yv = 0.5 * base[:, 1 : q + 1] + rng.normal(size=(n, q))
+    return labelled(xv, "x"), labelled(yv, "y")
+
+
+def test_near_collinear_cca_matches_the_qr_oracle():
+    x, y = near_collinear()
+    exact = qr_canonical_correlations(x.values, y.values)
+    pair = prepare_pair(x, y, whiten=True)
+    _, s, _, _, (error,) = _fit_zscored(pair, pair.sums())
+    assert error is None
+    for got in (s, permutation_test(x, y, CCA, n_perm=1).observed_s,
+                fit_cca(correlation_bundle(x, y, with_omega=True)).s):
+        assert np.abs(got - exact).max() <= QR_TOL
+    observed = bootstrap_ci(x, y, CCA, n_boot=100, seed=1).observed_us
+    assert np.abs(np.linalg.norm(observed, axis=0) - exact).max() <= QR_TOL
+
+
+def test_bootstrap_draws_match_the_qr_oracle():
+    spec = SimulationSpec(n=2000, p=50, q_per_component=(15, 10), relpos=((1, 2), (3, 4, 6)),
+                          gamma=0.5, m=4, ypos=((1, 3), (2, 4)), eta=0.0, r2=(0.2, 0.1),
+                          seed=3)
+    ds = generate_relevant_subspace(spec)
+    pair = prepare_pair(ds.x, ds.y, whiten=True)
+    idx = substream(1, "bootstrap").integers(0, ds.x.n, (30, ds.x.n))
+    _, s, _, _, errors = _fit_zscored(pair, pair.sums(idx))
+    assert errors == [None] * 30
+    exact = np.stack([qr_canonical_correlations(ds.x.values[i], ds.y.values[i]) for i in idx])
+    assert np.abs(s - exact).max() <= QR_TOL
+
+
+def moment_pair(r, n=50):
+    """A pair in the z basis (no whitening) whose full-sample sums give the
+    correlation matrix r for X and the identity for a 2-column Y."""
+    k = r.shape[0] + 2
+    cov = np.eye(k)
+    cov[: r.shape[0], : r.shape[0]] = r
+    sums = np.zeros((k + 1, k + 1))
+    sums[0, 0] = n
+    sums[1:, 1:] = (n - 1) * cov
+    pair = PreparedPair(np.zeros((n, k + 1)), r.shape[0], tuple(f"c{j}" for j in range(k)),
+                        (np.eye(r.shape[0]), np.eye(2)))
+    return pair, sums
+
+
+def test_rank_guard_matches_the_eigh_guard_outside_one_percent_of_the_tolerance():
+    rng = np.random.default_rng(3)
+    decided = 0
+    for _ in range(400):
+        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        r = (q * np.geomspace(1.0, RANK_REL_TOL * rng.uniform(0.9, 1.1), 7)) @ q.T
+        d = 1.0 / np.sqrt(np.diag(r))
+        r = (r * d[:, None] * d[None, :] + (r * d[:, None] * d[None, :]).T) / 2.0
+        w = np.linalg.eigh(r)[0]
+        if abs(w[0] / w[-1] / RANK_REL_TOL - 1.0) <= 0.01:
+            continue  # within 1% of the tolerance either decision stands
+        *_, (eigh_error,) = _adjustment_roots(r, np.eye(2))
+        *_, (error,) = _fit_zscored(*moment_pair(r))
+        assert (error is None) == (eigh_error is None)
+        assert error is None or (isinstance(error, RankDeficient) and error.block == "x")
+        decided += 1
+    assert decided > 200
+
+
+def test_a_draw_column_is_constant_below_a_millionth_of_the_sample_sd():
+    rng = np.random.default_rng(2)
+    xv = rng.normal(size=(40, 2))
+    xv[20:, 1] = 5.0 + 1e-7 * rng.normal(size=20)  # below 1e-6 of the sample sd on rows 20+
+    xv[:20, 1] = 5.0 + rng.normal(size=20)
+    x, y = labelled(xv, "x"), labelled(rng.normal(size=(40, 2)), "y")
+    for whiten in (False, True):
+        pair = prepare_pair(x, y, whiten=whiten)
+        rows = np.stack([np.arange(20, 40), np.arange(0, 20)])
+        *_, errors = _fit_zscored(pair, pair.sums(rows))
+        assert isinstance(errors[0], ConstantColumn) and errors[0].label == "x1"
+        assert errors[1] is None
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_second_half_by_subtraction_equals_the_gathered_half(whiten):
+    rng = np.random.default_rng(4)
+    x, y = labelled(rng.normal(size=(31, 3)), "x"), labelled(rng.normal(size=(31, 2)), "y")
+    pair = prepare_pair(x, y, whiten=whiten)
+    perm = rng.permutation(31)
+    by_difference = pair.sums() - pair.sums(perm[None, :16])
+    gathered = pair.sums(perm[None, 16:])
+    assert np.abs(by_difference - gathered).max() <= 1e-12

@@ -28,7 +28,7 @@ from crossblock import (
     split_half,
     train_test,
 )
-from crossblock.decomposition import PLS
+from crossblock.decomposition import NUMERICS_CONTRACT, PLS
 from crossblock.harness import _subsample_draw
 from crossblock.inference import permutation_matrix
 from crossblock.io import ReportDocument, full_sample_section, subsample_section
@@ -60,6 +60,11 @@ class TestGolden:
         doc = ReportDocument.build(kind="k", seed=1, config={}, sections={})
         assert STREAM_CONTRACT == 2
         assert doc.metadata["stream_contract"] == 2
+
+    def test_numerics_contract_in_report_metadata(self):
+        doc = ReportDocument.build(kind="k", seed=1, config={}, sections={})
+        assert NUMERICS_CONTRACT == 1
+        assert doc.metadata["numerics_contract"] == 1
 
     def test_permutation(self):
         assert permutation_matrix(11, 3, 8).tolist() == [
