@@ -366,6 +366,24 @@ class TestCli:
         metadata = json.loads(reports[0])["metadata"]
         assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 1
 
+    @pytest.mark.parametrize("kind", ["fpr", "detectability"])
+    def test_sweep_reports_identical_across_runs_and_thread_counts(self, tmp_path, kind):
+        if kind == "fpr":
+            blocks = ("--fpr-n", "300", "--fpr-p", "4", "--fpr-q", "2")
+        else:
+            data = tmp_path / "data"
+            self.run("simulate", "null", "--n", "150", "--p", "3", "--q", "2",
+                     "--seed", "4", "--out-dir", str(data))
+            blocks = ("--x", str(data / "x.csv"), "--y", str(data / "y.csv"))
+        args = ("sweep", "--kind", kind, "--iterations", "4", "--permutations", "20",
+                "--sample-sizes", "60,30", "--seed", "11", *blocks)
+        reports = []
+        for run, threads in enumerate(("1", "1", "2", "8")):  # a repeated run, then more threads
+            out = tmp_path / f"run{run}"
+            assert self.run(*args, "--threads", threads, "--out-dir", str(out)) == 0
+            reports.append((out / f"sweep_{kind}.json").read_bytes())
+        assert len(set(reports)) == 1
+
     def test_simulate_subspace_writes_truth(self, tmp_path):
         data = tmp_path / "sub"
         assert self.run("simulate", "subspace", "--n", "100", "--p", "8",

@@ -134,6 +134,31 @@ def test_negative_scale_flips_only_the_matching_weights(case):
                     flip_x=ax < 0, flip_y=ay < 0)
 
 
+MIX_CONDS = st.sampled_from([1.0, 10.0, 100.0])
+
+
+def mixing(rng, k, cond):
+    """A random invertible k x k matrix with condition number ``cond``."""
+    q1, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, k)) @ q2
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), mix=st.integers(0, 2**32 - 1), cond=MIX_CONDS)
+def test_within_block_mixing_leaves_canonical_correlations_unchanged(case, mix, cond):
+    """X -> XA, Y -> YB with A, B invertible spans the same column spaces,
+    so CCA's s holds to S_TOL; its vectors move, and PLS is not invariant."""
+    _, n, p, q, seed = case
+    x, y = blocks(n, p, q, seed)
+    rng = np.random.default_rng(mix)
+    mixed = (DataBlock(x.values @ mixing(rng, p, cond), x.labels),
+             DataBlock(y.values @ mixing(rng, q, cond), y.labels))
+    _, s, _ = fit(x, y, CCA)
+    _, s_mixed, _ = fit(*mixed, CCA)
+    assert np.abs(s - s_mixed).max() <= S_TOL
+
+
 def test_cases_reach_unit_canonical_correlations():
     """n - 1 below p + q: the close shapes include CCA fits with s = 1."""
     x, y = blocks(7, 5, 2, 3)
