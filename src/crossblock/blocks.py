@@ -273,10 +273,11 @@ class PreparedPair:
             g = self.data[rows]
             return g.T @ g
         total = 0.0
+        y = None if y_rows is None else np.ascontiguousarray(self.data[:, 1 + self.p :])
         for start in range(0, rows.shape[-1], _SUM_ROWS):  # a small gather at a time
-            g = self.data[rows[..., start : start + _SUM_ROWS]]
-            if y_rows is not None:
-                g[..., 1 + self.p :] = self.data[y_rows[..., start : start + _SUM_ROWS], 1 + self.p :]
+            g = self.data.take(rows[..., start : start + _SUM_ROWS], axis=0)
+            if y is not None:
+                g[..., 1 + self.p :] = y.take(y_rows[..., start : start + _SUM_ROWS], axis=0)
             total = total + g.swapaxes(-1, -2) @ g
         return total
 

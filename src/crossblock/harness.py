@@ -311,8 +311,8 @@ def _subsample_draw(seed: int, size: int, n: int):
 
 def _subsample_blocks(x, y, idx, pca_reference):
     """Materialize one subsample, re-fitting and aligning the PCA reduction."""
-    xs = DataBlock(x.values[idx], x.labels)
-    ys = DataBlock(y.values[idx], y.labels)
+    xs = DataBlock(x.values.take(idx, axis=0), x.labels)
+    ys = DataBlock(y.values.take(idx, axis=0), y.labels)
     if pca_reference is not None:
         model = align_to_reference(fit_pca(xs), pca_reference[0])
         xs = component_scores(xs, model, pca_reference[1])

@@ -121,7 +121,7 @@ def permutation_test(
     pair = prepare_pair(x, y, whiten=method == CCA)
     n, p = x.n, x.k
     scale = 1.0 / (n - 1)
-    xb, yb = pair.data[:, 1 : 1 + p], pair.data[:, 1 + p :]
+    xb, yb = pair.data[:, 1 : 1 + p], np.ascontiguousarray(pair.data[:, 1 + p :])
     observed_s = np.linalg.svd(xb.T @ yb * scale, compute_uv=False)
 
     if permutations is None:
@@ -131,6 +131,8 @@ def permutation_test(
         permutations = np.asarray(permutations)
         if permutations.shape != (n_perm, n):
             raise ValueError(f"permutations must have shape ({n_perm}, {n})")
+        if not np.issubdtype(permutations.dtype, np.integer):
+            raise ValueError(f"permutations must be integer row indices, got {permutations.dtype}")
         taken = 0
 
         def draw(k):
@@ -141,7 +143,8 @@ def permutation_test(
     null_s = np.empty((n_perm, observed_s.shape[0]))
 
     def evaluate(start, perms):
-        m = np.matmul(xb.T, yb[perms]) * scale  # (c, p, q)
+        m = np.matmul(xb.T, yb.take(perms, axis=0))  # (c, p, q), gathered from contiguous Y
+        m *= scale
         null_s[start : start + len(perms)] = np.linalg.svd(m, compute_uv=False)
         return ()  # the stack's results are in null_s
 

@@ -188,7 +188,7 @@ def pca_stability(
 
         def one(d):
             idx, orientation = d
-            vecs = _fit_values(values[idx], 0.98).eigenvectors * orientation
+            vecs = _fit_values(values.take(idx, axis=0), 0.98).eigenvectors * orientation
             if with_alignment:
                 cosines = np.einsum("ij,ij->j", pop.eigenvectors, vecs)
                 vecs = vecs * np.where(cosines < 0, -1.0, 1.0)

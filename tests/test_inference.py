@@ -50,6 +50,22 @@ class TestPermutationTest:
         res = permutation_test(x, y, CCA, n_perm=25, seed=0, permutations=forced)
         assert_allclose(res.p_values, 1.0)
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_explicit_permutations_must_be_integers(self, dtype):
+        # a take would read a bool array as rows 0 and 1
+        x, y = gaussian_blocks(5, 50, 4, 3)
+        perms = np.tile(np.arange(50), (5, 1)).astype(dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            permutation_test(x, y, PLS, n_perm=5, seed=0, permutations=perms)
+
+    @pytest.mark.parametrize("method", [PLS, CCA])
+    def test_out_of_range_permutation_raises_index_error(self, method):
+        x, y = gaussian_blocks(5, 50, 4, 3)
+        perms = np.tile(np.arange(50), (5, 1))
+        perms[3, 7] = 50
+        with pytest.raises(IndexError):
+            permutation_test(x, y, method, n_perm=5, seed=0, permutations=perms)
+
     def test_p_value_counting_convention(self):
         x, y = gaussian_blocks(6, 60, 3, 2)
         res = permutation_test(x, y, PLS, n_perm=40, seed=2)
