@@ -11,8 +11,9 @@ parametric equivalent for PLS.
 p-values are exact resampling counts (count / n_perm with a >= comparison),
 so a singular value larger than every permuted draw reports p = 0. Both
 resamplers prepare the block pair once (``prepare_pair``) and draw through
-``map_draws`` in stacks, each evaluated from weighted moments of the
-prepared rows and decomposed by one batched SVD.
+``map_draws`` in stacks, each gathered by ``take`` from a C-contiguous
+basis (never by fancy index or from a strided view), evaluated from
+weighted moments of the prepared rows and decomposed by one batched SVD.
 """
 
 from dataclasses import dataclass
