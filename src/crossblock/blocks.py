@@ -35,9 +35,8 @@ _CONSTANT_SD = 1e-12
 # A draw's column is constant when its variance, in units of the full sample's
 # variance, is at most this: its sd is at most 1e-6 of the full sample's.
 _CONSTANT_DRAW_VAR = 1e-12
-# Rows that moment sums and whitening take at once.
+# Rows that moment sums take at once.
 _SUM_ROWS = 2048
-_ZSCORE_ROWS = 256
 _SYM_TOL = 1e-10
 
 
@@ -126,22 +125,13 @@ class CorrelationBundle:
 
 
 def _zscore_values(values: np.ndarray):
-    """Center and scale, in place, the columns of a C-ordered (n, k) block or
-    (b, n, k) stack of draws to unit sample sd; returns ``values`` and the
-    (..., k) mask of columns with sd below 1e-12 (centred, not scaled). Rows
-    are squared ``_ZSCORE_ROWS`` at a time, so temporaries stay small (heap,
-    not mmap), and the sum is carried: numpy sums several columns row by row,
-    so that is bit-identical to one pass (a lone column sums pairwise: one block)."""
-    n, k = values.shape[-2:]
-    values -= values.mean(axis=-2, keepdims=True)
-    rows = n if k == 1 else _ZSCORE_ROWS
-    ss = np.square(values[..., :rows, :]).sum(axis=-2)
-    for start in range(rows, n, rows):
-        block = np.square(values[..., start : start + rows, :])
-        ss = np.concatenate([ss[..., None, :], block], axis=-2).sum(axis=-2)
-    sd = np.sqrt(ss / (n - 1))
+    """Center and scale, in place, the columns of an (n, k) block to unit
+    sample sd; returns ``values`` and the (k,) mask of columns with sd below
+    1e-12 (centred, not scaled)."""
+    values -= values.mean(axis=0)
+    sd = np.sqrt(np.square(values).sum(axis=0) / (len(values) - 1))
     constant = sd < _CONSTANT_SD
-    values /= np.where(constant, 1.0, sd)[..., None, :]
+    values /= np.where(constant, 1.0, sd)
     return values, constant
 
 
@@ -167,15 +157,15 @@ def zscore_columns(block: DataBlock) -> DataBlock:
 
 
 def _inverse_roots(m: np.ndarray, block: str = ""):
-    """Symmetric inverse square roots of one symmetric matrix or a stack and, per
-    matrix, None or the RankDeficient naming ``block``, both from one eigh (a
-    failed matrix's root is the identity: no root of a non-positive eigenvalue)."""
+    """Symmetric inverse square root of a symmetric matrix and None, or, when
+    the rank guard fails, the identity and the RankDeficient naming ``block``;
+    both from one eigh (no root of a non-positive eigenvalue is taken)."""
     w, v = np.linalg.eigh(m)
-    failed = (w[..., -1] <= 0) | (w[..., 0] < RANK_REL_TOL * w[..., -1])
-    a = (v / np.sqrt(np.where(failed[..., None], 1.0, w))[..., None, :]) @ v.swapaxes(-1, -2)
-    errors = [RankDeficient(block, float(wi[0]), RANK_REL_TOL * max(float(wi[-1]), 0.0))
-              if bad else None for bad, wi in zip(failed.reshape(-1), w.reshape(-1, w.shape[-1]))]
-    return (a + a.swapaxes(-1, -2)) / 2.0, errors
+    if w[-1] <= 0 or w[0] < RANK_REL_TOL * w[-1]:
+        return np.eye(len(w)), RankDeficient(block, float(w[0]),
+                                             RANK_REL_TOL * max(float(w[-1]), 0.0))
+    a = (v / np.sqrt(w)) @ v.T
+    return (a + a.T) / 2.0, None
 
 
 def inverse_sqrt_sym(m: np.ndarray) -> np.ndarray:
@@ -190,7 +180,7 @@ def inverse_sqrt_sym(m: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if np.abs(m - m.T).max() > _SYM_TOL:
         raise ValueError("matrix is not symmetric within 1e-10")
-    a, (error,) = _inverse_roots(m)
+    a, error = _inverse_roots(m)
     if error is not None:
         raise NotPositiveDefinite(error.eigenvalue)
     return a
@@ -206,17 +196,17 @@ def effective_rank(m: np.ndarray) -> int:
 
 
 def _within_correlation(z: np.ndarray) -> np.ndarray:
-    r = z.swapaxes(-1, -2) @ z / (z.shape[-2] - 1)
-    return (r + r.swapaxes(-1, -2)) / 2.0
+    r = z.T @ z / (len(z) - 1)
+    return (r + r.T) / 2.0
 
 
 def _adjustment_roots(rxx: np.ndarray, ryy: np.ndarray):
-    """Inverse square roots of both within-block matrices (a pair, or a pair
-    of stacks), with rank guard: one eigh per block. Returns (ax, by, errors),
-    errors[i] being None or the RankDeficient of draw i's first failing block."""
-    ax, x_errors = _inverse_roots(rxx, "x")
-    by, y_errors = _inverse_roots(ryy, "y")
-    return ax, by, [ex or ey for ex, ey in zip(x_errors, y_errors)]
+    """Inverse square roots of both within-block matrices, with rank guard:
+    one eigh per block. Returns (ax, by, error), error being None or the
+    RankDeficient of the first failing block."""
+    ax, x_error = _inverse_roots(rxx, "x")
+    by, y_error = _inverse_roots(ryy, "y")
+    return ax, by, x_error or y_error
 
 
 def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> CorrelationBundle:
@@ -302,12 +292,6 @@ def _parts(p: int):
     return slice(0, p), slice(p, None)
 
 
-def _right_multiply(z: np.ndarray, a: np.ndarray):
-    """z = z @ a in place, ``_SUM_ROWS`` rows at a time, so temporaries stay small."""
-    for start in range(0, len(z), _SUM_ROWS):
-        z[start : start + _SUM_ROWS] = z[start : start + _SUM_ROWS] @ a
-
-
 def prepare_pair(x: DataBlock, y: DataBlock, whiten: bool = False) -> PreparedPair:
     """Z-score a pair of blocks once and, when ``whiten`` is set, whiten each
     block by CholeskyQR2: first by the symmetric inverse root of its
@@ -331,12 +315,12 @@ def prepare_pair(x: DataBlock, y: DataBlock, whiten: bool = False) -> PreparedPa
         return PreparedPair(data, x.k, labels)
     blocks = [data[:, 1:][:, part] for part in _parts(x.k)]
     r = [_within_correlation(z) for z in blocks]
-    *first, (error,) = _adjustment_roots(*r)
+    *first, error = _adjustment_roots(*r)
     unwrap(error)
     roots = []
     for z, rz, a in zip(blocks, r, first):
-        _right_multiply(z, a)
+        z[:] = z @ a
         second = np.linalg.cholesky(_within_correlation(z)).T  # upper: second' second = Gram / (n - 1)
-        _right_multiply(z, np.linalg.inv(second))
+        z[:] = z @ np.linalg.inv(second)
         roots.append(second @ (rz @ a))  # z = w @ second @ R^(1/2), R^(1/2) = R @ R^(-1/2)
     return PreparedPair(data, x.k, labels, tuple(roots))

@@ -117,6 +117,15 @@ _DEFAULTS = {
     "pca_components": None,
 }
 
+# The JSON types a config file may give each key, matched exactly, so true and
+# false are not numbers; sample_sizes is a list of integers.
+_CONFIG_TYPES = {
+    "seed": (int,), "out_dir": (str,), "format": (str,), "threads": (int, type(None)),
+    "method": (str,), "permutations": (int,), "bootstraps": (int,), "splits": (int,),
+    "iterations": (int,), "sample_sizes": (list,), "alpha": (int, float),
+    "pca_components": (int, float, str, type(None)),
+}
+
 
 def _resolve(args, key):
     """Flag > config file > default."""
@@ -126,9 +135,7 @@ def _resolve(args, key):
     cfg = getattr(args, "_config_data", {})
     if key in cfg:
         value = cfg[key]
-        if key == "sample_sizes" and isinstance(value, (list, tuple)):
-            return tuple(int(v) for v in value)
-        return value
+        return tuple(value) if key == "sample_sizes" else value
     return _DEFAULTS.get(key)
 
 
@@ -253,6 +260,12 @@ def _load_config_file(args):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
+        for key, value in data.items():
+            if key not in _DEFAULTS:
+                raise ValueError(f"config file: unknown key {key!r}")
+            if type(value) not in _CONFIG_TYPES[key] or (
+                    key == "sample_sizes" and any(type(v) is not int for v in value)):
+                raise ValueError(f"config file: {key!r} has the wrong type: {json.dumps(value)}")
     args._config_data = data
 
 
@@ -261,13 +274,16 @@ def _pca_pre(raw):
         return None
     if raw == "auto":
         return 0.98
-    value = float(raw)
-    if value != int(value) or value < 1:
-        if not 0 < value < 1:
-            raise ValueError("--pca-components must be an int >= 1, a fraction "
-                             "in (0,1), or 'auto'")
-        return value
-    return int(value)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0  # refused below, naming the flag
+    if value >= 1 and value.is_integer():
+        return int(value)
+    if not 0 < value < 1:
+        raise ValueError("--pca-components must be an int >= 1, a fraction "
+                         "in (0,1), or 'auto'")
+    return value
 
 
 def _emit(report: ReportDocument, eff: dict, stem: str) -> list[Path]:
@@ -468,9 +484,10 @@ def _cmd_pca(args) -> int:
         return EXIT_OK
     eff = _effective(args, ("seed", "out_dir", "format", "threads", "sample_sizes",
                             "iterations", "pca_components"))
+    n_pc = _pca_pre(eff["pca_components"]) or 2
+    if not isinstance(n_pc, int):
+        raise ValueError("--pca-components must be an int >= 1 for pca stability")
     x = load_csv(args.x)
-    n_pc = eff["pca_components"]
-    n_pc = 2 if n_pc is None else int(n_pc)
     result = pca_stability(
         x, sample_sizes=eff["sample_sizes"], n_iter=eff["iterations"], n_pc=n_pc,
         with_alignment=args.align, seed=eff["seed"], threads=eff["threads"],

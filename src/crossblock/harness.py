@@ -42,7 +42,7 @@ import numpy as np
 from .blocks import DataBlock
 from .datagen import generate_null
 from .decomposition import CCA, PLS, check_method
-from .errors import ConstantColumn, MissingOmega, RankDeficient
+from .errors import ConstantColumn, RankDeficient
 from .inference import (
     BartlettResult,
     BootstrapResult,
@@ -362,7 +362,7 @@ def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
             for method in live:
                 try:
                     out[method] = assess(method)
-                except (RankDeficient, MissingOmega, ConstantColumn) as exc:
+                except (RankDeficient, ConstantColumn) as exc:
                     out[method] = exc.with_traceback(None)
             return out
 

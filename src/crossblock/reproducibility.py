@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import DataBlock, prepare_pair
 from .decomposition import CCA, _fit_zscored, check_method
-from .errors import ObservationMismatch, unwrap
+from .errors import ObservationMismatch
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
@@ -102,12 +102,6 @@ def _split_stack(pair, full, draws):
     b = len(draws)
     return [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
             for i, (e1, e2) in enumerate(zip(errors[:b], errors[b:]))]
-
-
-def _split_train_test(xv, yv, method, perm, labels):
-    """Train/test diagonal of one partition, the first half training."""
-    pair = prepare_pair(DataBlock(xv, labels[0]), DataBlock(yv, labels[1]), method == CCA)
-    return unwrap(_split_stack(pair, pair.sums(), perm[None])[0])[0]
 
 
 def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,

@@ -17,6 +17,7 @@ from crossblock import (
     run_detectability,
     run_full_sample,
 )
+import crossblock.cli as cli
 import crossblock.io as crossblock_io
 import crossblock.parallel as parallel
 from crossblock.blocks import DataBlock
@@ -407,6 +408,59 @@ class TestCli:
         assert rep["metadata"]["seed"] == 9
         assert rep["metadata"]["config"]["permutations"] == 15
         assert list(rep["sections"]) == ["permutation_pls"]
+
+    @pytest.mark.parametrize("config, key", [
+        ({"permutation": 5}, "permutation"),  # misspelled: would run at 1000
+        ({"permutations": "5"}, "permutations"),
+        ({"permutations": True}, "permutations"),
+        ({"sample_sizes": [60, 2.5]}, "sample_sizes"),
+    ], ids=["misspelled", "string", "bool", "float-entry"])
+    def test_bad_config_file_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "120", "--p", "3", "--q", "2",
+                 "--seed", "1", "--out-dir", str(data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("permute", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                        "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_option_has_a_config_type(self):
+        assert set(cli._CONFIG_TYPES) == set(cli._DEFAULTS)
+
+    @pytest.mark.parametrize("flag, config", [
+        (("--pca-components", "0.5"), None),
+        (("--pca-components", "0"), None),
+        (("--pca-components", "auto"), None),
+        (("--pca-components", "inf"), None),
+        ((), {"pca_components": 2.7}),  # would be truncated to 2
+    ], ids=["0.5", "0", "auto", "inf", "config-2.7"])
+    def test_pca_stability_components_must_be_a_positive_integer(self, tmp_path, capsys,
+                                                                 flag, config):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flag = ("--config", str(cfg))
+        capsys.readouterr()
+        assert self.run("pca", "stability", "--x", str(data / "x.csv"), "--sample-sizes", "30",
+                        "--iterations", "3", *flag, "--out-dir", str(tmp_path / "out")) == 2
+        assert "--pca-components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "two"])
+    def test_unparsable_pca_components_exits_2_naming_the_flag(self, tmp_path, capsys, value):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        capsys.readouterr()
+        assert self.run("fit", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                        "--pca-components", value, "--out-dir", str(tmp_path / "out")) == 2
+        assert "--pca-components" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "d"

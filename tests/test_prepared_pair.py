@@ -97,7 +97,7 @@ def test_rank_guard_matches_the_eigh_guard_outside_one_percent_of_the_tolerance(
         w = np.linalg.eigh(r)[0]
         if abs(w[0] / w[-1] / RANK_REL_TOL - 1.0) <= 0.01:
             continue  # within 1% of the tolerance either decision stands
-        *_, (eigh_error,) = _adjustment_roots(r, np.eye(2))
+        *_, eigh_error = _adjustment_roots(r, np.eye(2))
         *_, (error,) = _fit_zscored(*moment_pair(r))
         assert (error is None) == (eigh_error is None)
         assert error is None or (isinstance(error, RankDeficient) and error.block == "x")

@@ -11,9 +11,10 @@ from crossblock import (
     split_half,
     train_test,
 )
+from crossblock.blocks import prepare_pair
 from crossblock.decomposition import CCA, PLS
 from crossblock.errors import ConstantColumn, RankDeficient
-from crossblock.reproducibility import _half_indices, _split_train_test
+from crossblock.reproducibility import _half_indices, _split_stack
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -46,7 +47,8 @@ class TestTrainTest:
         xv = np.vstack([base_x, base_x])
         yv = np.vstack([base_y, base_y])
         # the identity partition: the first copy trains, the second tests
-        diag = _split_train_test(xv, yv, PLS, np.arange(80), (("a", "b", "c"), ("p", "q")))
+        pair = prepare_pair(DataBlock(xv, ("a", "b", "c")), DataBlock(yv, ("p", "q")))
+        [(diag, _, _)] = _split_stack(pair, pair.sums(), np.arange(80)[None])
         from crossblock import correlation_bundle, fit_pls
 
         b = correlation_bundle(

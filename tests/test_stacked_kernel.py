@@ -50,7 +50,7 @@ def test_borderline_rank_guard_gives_roots_or_rank_deficient():
         smallest = RANK_REL_TOL * (1.0 + 0.02 * rng.uniform(-1.0, 1.0) ** 3)
         r = (q * np.geomspace(1.0, smallest, 7)) @ q.T
         r = (r + r.T) / 2.0
-        ax, by, (error,) = _adjustment_roots(r, np.eye(2))
+        ax, by, error = _adjustment_roots(r, np.eye(2))
         if error is None:
             # roundoff bound: eps times the condition number, about 2e-3
             assert np.abs(ax @ r @ ax - np.eye(7)).max() < 1e-2
