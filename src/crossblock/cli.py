@@ -27,7 +27,6 @@ from .decomposition import CCA, PLS
 from .errors import (
     CrossBlockError,
     InfeasibleR2,
-    MissingOmega,
     NotPositiveDefinite,
     ParseError,
     RankDeficient,
@@ -68,7 +67,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_NUMERICAL_ERRORS = (RankDeficient, NotPositiveDefinite, MissingOmega, ResamplingError)
+_NUMERICAL_ERRORS = (RankDeficient, NotPositiveDefinite, ResamplingError)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -141,6 +140,8 @@ def _resolve(args, key):
 
 def _effective(args, keys) -> dict:
     out = {k: _resolve(args, k) for k in keys}
+    if out.get("sample_sizes") == ():
+        raise ValueError("--sample-sizes must list at least one sample size")
     if out.get("threads") is None:
         out["threads"] = default_threads()
     return out

@@ -35,8 +35,9 @@ METHODS = (PLS, CCA)
 
 # Versions the arithmetic that turns data into reported numbers; written into
 # every report's metadata. Contract 1 evaluates every draw from weighted
-# moments of a pair prepared once, and CCA in a whitened basis.
-NUMERICS_CONTRACT = 1
+# moments of a pair prepared once, and CCA in a whitened basis; contract 2
+# takes permutation null singular values from eigenvalues of a small Gram.
+NUMERICS_CONTRACT = 2
 
 _ORTHO_TOL = 1e-8
 

@@ -91,8 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(s) for s in self.sample_sizes))
         object.__setattr__(self, "methods", tuple(check_method(m) for m in self.methods))
-        if any(s < 2 for s in self.sample_sizes):
-            raise ValueError("sample sizes must be at least 2")
+        if not self.sample_sizes or any(s < 2 for s in self.sample_sizes):
+            raise ValueError("sample_sizes must list at least one size, each at least 2")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         for name in ("n_iterations", "n_perm", "n_boot", "n_split"):

@@ -12,8 +12,9 @@ p-values are exact resampling counts (count / n_perm with a >= comparison),
 so a singular value larger than every permuted draw reports p = 0. Both
 resamplers prepare the block pair once (``prepare_pair``) and draw through
 ``map_draws`` in stacks, each gathered by ``take`` from a C-contiguous
-basis (never by fancy index or from a strided view), evaluated from
-weighted moments of the prepared rows and decomposed by one batched SVD.
+basis (never by fancy index or from a strided view). A bootstrap stack is
+evaluated from weighted moments of the prepared rows; a permutation stack
+from its cross products, whose Gram eigenvalues give the null's values.
 """
 
 from dataclasses import dataclass
@@ -86,6 +87,12 @@ def permutation_matrix(seed: int, n_perm: int, n: int) -> np.ndarray:
     return permutation_rows(substream(seed, "permutation"), (n_perm, n))
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Descending singular values of a stack via its smaller Grams (error ~eps*s1**2/s_k)."""
+    g = m.swapaxes(-1, -2) @ m if m.shape[-2] >= m.shape[-1] else m @ m.swapaxes(-1, -2)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., ::-1], 0.0))
+
+
 def permutation_test(
     x: DataBlock,
     y: DataBlock,
@@ -123,7 +130,8 @@ def permutation_test(
     n, p = x.n, x.k
     scale = 1.0 / (n - 1)
     xb, yb = pair.data[:, 1 : 1 + p], np.ascontiguousarray(pair.data[:, 1 + p :])
-    observed_s = np.linalg.svd(xb.T @ yb * scale, compute_uv=False)
+    observed = xb.T @ yb * scale
+    observed_s = np.linalg.svd(observed, compute_uv=False)
 
     if permutations is None:
         batch = substream(seed, "permutation")
@@ -146,12 +154,12 @@ def permutation_test(
     def evaluate(start, perms):
         m = np.matmul(xb.T, yb.take(perms, axis=0))  # (c, p, q), gathered from contiguous Y
         m *= scale
-        null_s[start : start + len(perms)] = np.linalg.svd(m, compute_uv=False)
+        null_s[start : start + len(perms)] = _singular_values(m)
         return ()  # the stack's results are in null_s
 
     map_draws(evaluate, draw, n_perm, n * y.k, threads)
 
-    p_values = (null_s >= observed_s).sum(axis=0) / n_perm
+    p_values = (null_s >= _singular_values(observed[None])[0]).sum(axis=0) / n_perm
     return PermutationResult(
         observed_s=observed_s, null_s=null_s, p_values=p_values, n_perm=n_perm
     )

@@ -1,13 +1,16 @@
 """Byte-level pins of the canonical reports of small harness runs.
 
 Each case builds a report document exactly as the CLI does and compares
-the sha256 of its JSON against a recorded value. A refactor of the
-harness, the resamplers or the report builders must leave every hash
-unchanged; a deliberate output change re-records the affected hashes and
-says so in CHANGES.md.
+the sha256 of its JSON against a recorded value (``GOLDEN``), and the
+sha256 of its ``sections`` alone against another (``GOLDEN_SECTIONS``). A
+refactor of the harness, the resamplers or the report builders must leave
+every hash unchanged; a deliberate output change re-records the affected
+hashes and says so in CHANGES.md. A contract bump that moves no reported
+number re-records ``GOLDEN`` only, and ``GOLDEN_SECTIONS`` shows that.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -104,19 +107,37 @@ CASES = {
 }
 
 GOLDEN = {
-    "detect-cca-blocked": "348e2eb6fdb61ac1be622d1b7fdda0f10d226e762f3a178615a6979fe18e487f",
-    "detect-constant-skips": "cb8c71145f72cb88f3771d1812e0078eb171b529e4b42ed93902163e244cacbb",
-    "detect-pca-fraction": "87a2b7dc71fab5a5f78692673f37ab4be0e5ed23b4ee8dc0fa0d9e0fb2dfba14",
-    "detect-pca-int": "e2bceec858dac70427e513b73ae44dea2570bf6c2465703860f460da02f776b8",
-    "detect-plain": "7c61c9c74749368516da80e265be69eab4964b077cdc61fd0bcf92ff82f7f92c",
-    "detect-pls-only": "9084d4f42d26a75e94d1e3be65abaeac73a90ae9cc873b9228fc4b6b992f00a5",
-    "fpr": "8a7481e17887af00e31c75e2e8885e54102e7fb671324d1516af45e32f5746f2",
-    "full-pca": "b1dc80e803aa9c5705f9d3c3f02985a3ee405c566e2086a3ef0d01578e1341b1",
-    "full-plain": "ebcefeb6c7c1b41a4eccebc7882dd5a0904fc153ce1e05661a2d5c8e0a306694",
-    "repro-constant-skips": "80fceb030aa455c87b885e2f9cc599665ef027931a6c9a99633b1f6aa7b1f53c",
-    "repro-half-guard": "cf82e3e69f6afbd092cf1181f250fb2ee9b378f4a92a736de0c3d456335e3cd9",
-    "repro-pca": "08cdd87c0d3888426d60cbcf42388939a58925d21353b4acef50bb35fc8c073f",
-    "repro-plain": "d7564b0cbf7ac9d45b165848ab5796c52b7663d5743c6ce3cdf33d3f3b131e1b",
+    "detect-cca-blocked": "64317126e79a7ecc84feca6649ca68948835efe8b91a71337561be28bc55009e",
+    "detect-constant-skips": "5fef8c5e67ef8ce4569e31c5d209051fec78547002c3b07f2766b17e6194e5a3",
+    "detect-pca-fraction": "677cd01a8ba701e82efddc9a1fa1e757a68f916324194760b5f1b35f69a88b09",
+    "detect-pca-int": "f05e22f68b4559507d7665a93aa81875b1be46ba33d3c30d1948da48558d6f13",
+    "detect-plain": "265b918be0fabba54b3bdbde48edfb14fcd616d6d4e37c8d7b55d42b0132a6a7",
+    "detect-pls-only": "4060baf940ea2f26bcc7b367260039172c0b4f3ce21e23b060ad0509fc1dbd2a",
+    "fpr": "e5e9963854af96904ba302348aa82f86b5497dca30d74b85d3fdd1a86f1e9c14",
+    "full-pca": "1205b86d18408e63ea9599cc187e05ca374a5f9601f4e2f09d5f536e2e6fbe92",
+    "full-plain": "255f3b7a27f3d82689beb5390d8d75ffb11c64fa1ebb7d2a05b84779a3d0d13a",
+    "repro-constant-skips": "28807d40a94da46a7bfd9e66a2b53189b8b8e0e695511da0b53195c53601a876",
+    "repro-half-guard": "d94a713a0ea9e185a22dbb288655834f272f975fbeffa212538e71ce8fa9ba24",
+    "repro-pca": "86cd162ef30afe7405dc062c9dd22b9c06c4372f6096e0a06a1be6bee7ef250d",
+    "repro-plain": "9ba863dece06d3e9b4cff7edc501adcda75ef11b475954af6213160d4627d415",
+}
+
+# sha256 of each case's ``sections`` alone, serialized as ``to_json`` does;
+# metadata (versions, contract numbers) is outside these bytes.
+GOLDEN_SECTIONS = {
+    "detect-cca-blocked": "71946ec8ca44ea3a261c6687417d07c649b2ae4b8810ed173f507d380e1fd877",
+    "detect-constant-skips": "cfb985f428e2fb91c7073067ff58984d7a33f0434989693dbe98219f986052ec",
+    "detect-pca-fraction": "b488ec24f9a1ae5ea07a43d260f84128471c1868c1ffa1278ce3aa91021c004a",
+    "detect-pca-int": "c2ad7b4ecf45c89d33b894359c752337d02df58fadc33d134ff572119488ff97",
+    "detect-plain": "8dafa500e8591a23027206784ed44fe58cbd7912e579ec21a0b317e024843b5e",
+    "detect-pls-only": "096eee4e38570b4aa16b33279f91283ca94cb5f4a97448e9fd1c6b34af2c0d38",
+    "fpr": "570855bd2eea957bfb71478592bcdb4c127ecbde792fdafa5c09c690dd991dda",
+    "full-pca": "ea64224974afbd35f651b001886f8ba50719ae1cf657521f6661a0ccc9aed654",
+    "full-plain": "88523344a26868dae81f56b961900f65057d1dea78c5fd40b1f94a757092a01c",
+    "repro-constant-skips": "b52189c9f3fac8ebdbe9ade27460ff847697404af41f30443a67a46101d32764",
+    "repro-half-guard": "97440a91c28a17c6b11002ad25f4c4af31bfb448c89893a164676d82647f3b59",
+    "repro-pca": "7c0534541edab8fa302d1abd95e0513bcbc3a69a063a6f8d2b24681d8108aea8",
+    "repro-plain": "facb84d63e45e2dc29e1645b02a7d91f5e1c78b5673c5b02067657b5a530fefc",
 }
 
 
@@ -125,6 +146,12 @@ def test_report_bytes_unchanged(case, monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     text = CASES[case]().to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_sections_unchanged(case):
+    text = json.dumps(CASES[case]().sections, sort_keys=True, indent=2, allow_nan=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SECTIONS[case]
 
 
 def test_cases_reach_the_paths_they_pin():

@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=1.5)
 
+    @pytest.mark.parametrize("sizes", [(), (50, 1)])
+    def test_rejects_empty_or_too_small_sample_sizes(self, sizes):
+        with pytest.raises(ValueError, match="sample_sizes"):
+            ExperimentConfig(sample_sizes=sizes)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("ridge",))

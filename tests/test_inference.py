@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crossblock import (
@@ -18,6 +20,7 @@ from crossblock import (
 )
 from crossblock.decomposition import CCA, PLS, CrossBlockModel
 from crossblock.errors import MethodMismatch
+from crossblock.inference import _singular_values
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -96,6 +99,43 @@ class TestPermutationTest:
         # the within-block adjustment
         assert a.null_s.shape == b.null_s.shape
         assert not np.array_equal(a.null_s, b.null_s)
+
+
+class TestNullSingularValues:
+    """The permutation null's singular values come from eigenvalues of each
+    draw's smaller Gram; the observed values it is compared with come from
+    the same arithmetic, so an unpermuted draw ties with them exactly."""
+
+    @pytest.mark.parametrize("method", [PLS, CCA])
+    @pytest.mark.parametrize("p, q", [(5, 3), (3, 5), (4, 1)])
+    def test_identity_permutations_give_p_one(self, method, p, q):
+        x, y = gaussian_blocks(11, 60, p, q)
+        forced = np.tile(np.arange(60), (7, 1))
+        res = permutation_test(x, y, method, n_perm=7, seed=0, permutations=forced)
+        assert np.array_equal(res.p_values, np.ones(min(p, q)))
+
+    def test_identity_permutations_give_p_one_for_a_rank_deficient_cross_matrix(self):
+        x, y = gaussian_blocks(12, 60, 3, 4)
+        x = DataBlock(np.column_stack([x.values, x.values[:, 0]]), (*x.labels, "x0 again"))
+        forced = np.tile(np.arange(60), (7, 1))
+        res = permutation_test(x, y, PLS, n_perm=7, seed=0, permutations=forced)
+        assert res.observed_s[-1] < 1e-12 * res.observed_s[0]
+        assert np.array_equal(res.p_values, np.ones(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 4), p=st.integers(1, 8), q=st.integers(1, 8),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_match_the_svd_on_well_conditioned_stacks(self, c, p, q, scale, seed):
+        rng = np.random.default_rng(seed)
+        r = min(p, q)
+        u = np.linalg.qr(rng.normal(size=(c, p, r)))[0]
+        v = np.linalg.qr(rng.normal(size=(c, q, r)))[0]
+        s = scale * rng.uniform(0.5, 1.0, size=(c, 1, r))  # condition number at most 2
+        m = (u * s) @ v.swapaxes(-1, -2)
+        expected = np.linalg.svd(m, compute_uv=False)
+        got = _singular_values(m)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected[:, :1])
 
 
 class TestBootstrap:

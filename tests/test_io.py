@@ -365,7 +365,7 @@ class TestCli:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
         metadata = json.loads(reports[0])["metadata"]
-        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 1
+        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 2
 
     @pytest.mark.parametrize("kind", ["fpr", "detectability"])
     def test_sweep_reports_identical_across_runs_and_thread_counts(self, tmp_path, kind):
@@ -461,6 +461,29 @@ class TestCli:
         assert self.run("fit", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
                         "--pca-components", value, "--out-dir", str(tmp_path / "out")) == 2
         assert "--pca-components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--kind", "fpr", "--fpr-n", "200", "--fpr-p", "4", "--fpr-q", "2",
+         "--permutations", "5"),
+        ("pca", "stability"),
+    ], ids=["sweep-fpr", "pca-stability"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_sample_sizes_exit_2_naming_the_flag(self, tmp_path, capsys, command, source):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        if command[0] == "pca":
+            command = (*command, "--x", str(data / "x.csv"))
+        sizes = ("--sample-sizes", "")
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sample_sizes": []}))
+            sizes = ("--config", str(cfg))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run(*command, *sizes, "--iterations", "3", "--out-dir", str(out)) == 2
+        assert "--sample-sizes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "d"

@@ -6,7 +6,7 @@ Draws are evaluated as stacks. These tests pin what that must not change
 (report bytes, for any stack size and thread count, a thread count below
 1 counting as 1) and what it must keep (one batched linalg call per stack,
 not one per draw; one eigh per block for both the rank guard and the
-root, no eigvalsh).
+root, and eigvalsh only for the permutation null's singular values).
 """
 
 import collections
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossblock.inference as inference
 import crossblock.parallel as parallel
 from crossblock import (
     DataBlock,
@@ -120,13 +121,23 @@ def test_split_batch_makes_a_constant_number_of_linalg_calls(fn, method, linalg_
     assert totals[0] == totals[1] <= 6
 
 
-def test_full_sample_and_reproducibility_sweep_make_no_eigvalsh_call(linalg_calls):
+def test_only_the_permutation_null_makes_eigvalsh_calls(linalg_calls, monkeypatch):
+    """Bootstrap, splits and the reproducibility sweep make no eigvalsh call;
+    every one in the full sample is the permutation null's singular values."""
+    null_calls = []
+
+    def counted(m, _fn=inference._singular_values):
+        null_calls.append(len(m))
+        return _fn(m)
+
+    monkeypatch.setattr(inference, "_singular_values", counted)
     x, y = population()
     config = ExperimentConfig(sample_sizes=(80,), n_iterations=3, n_perm=30, n_boot=100,
                               n_split=8, pca_pre=3, seed=5)
-    run_full_sample(x, y, config)
     run_reproducibility_by_n(x, y, config)
     assert linalg_calls["eigvalsh"] == 0 and linalg_calls["eigh"] > 0
+    run_full_sample(x, y, config)
+    assert linalg_calls["eigvalsh"] == len(null_calls) > 0
 
 
 @pytest.mark.parametrize("method", METHODS)
