@@ -8,16 +8,19 @@ Subcommands cover every pipeline: ``simulate`` (null | subspace), ``fit``
 from a report).
 
 Options may come from a JSON config file (--config) mirroring the
-experiment configuration; explicit flags override it, and the effective
-configuration is echoed into every report, except --threads, which never
-changes results. With a fixed --seed every run writes byte-identical files,
-whatever the thread count.
+experiment configuration. The file accepts exactly the values its flags
+accept, explicit flags override it, and every command reads from it the
+options it has, plot-data its out_dir too. The effective configuration is
+echoed into every report, except --threads, which never changes results.
+With a fixed --seed every run writes byte-identical files, whatever the
+thread count.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
 4 I/O error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -69,6 +72,31 @@ EXIT_IO = 4
 
 _NUMERICAL_ERRORS = (RankDeficient, NotPositiveDefinite, ResamplingError)
 
+FORMATS = ("json", "csv")
+METHODS = (PLS, CCA, "both")
+
+# Every option a config file may set: its default, and the JSON types the file
+# may give it, matched exactly, so true and false are not numbers; sample_sizes
+# is a list of integers. A command resolves the options its parser defines.
+_OPTIONS = {
+    "seed": (0, (int,)),
+    "out_dir": (".", (str,)),
+    "format": ("json", (str,)),
+    "threads": (None, (int, type(None))),  # resolved via CROSSBLOCK_THREADS
+    "method": ("both", (str,)),
+    "permutations": (1000, (int,)),
+    "bootstraps": (1000, (int,)),
+    "splits": (500, (int,)),
+    "iterations": (500, (int,)),
+    "sample_sizes": ((500, 250, 100, 50, 20), (list,)),
+    "alpha": (0.05, (int, float)),
+    "pca_components": (None, (int, float, str, type(None))),
+}
+_CHOICES = {"format": FORMATS, "method": METHODS}
+# Options that say where and how a run writes, not what it computes; reports
+# echo the others (the seed has its own metadata field).
+_NOT_ECHOED = ("seed", "out_dir", "format", "threads")
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
@@ -87,64 +115,43 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument("--out-dir", default=None, help="output directory (default .)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="report format (default json)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads; never affects results")
 
 
-def _add_analysis(parser, need_y=True):
+def _add_analysis(parser):
     parser.add_argument("--x", required=True, help="X block CSV")
-    if need_y:
-        parser.add_argument("--y", required=True, help="Y block CSV")
-    parser.add_argument("--method", choices=(PLS, CCA, "both"), default=None,
+    parser.add_argument("--y", required=True, help="Y block CSV")
+    parser.add_argument("--method", choices=METHODS, default=None,
                         help="analysis method (default both)")
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "out_dir": ".",
-    "format": "json",
-    "threads": None,        # resolved via CROSSBLOCK_THREADS
-    "method": "both",
-    "permutations": 1000,
-    "bootstraps": 1000,
-    "splits": 500,
-    "iterations": 500,
-    "sample_sizes": (500, 250, 100, 50, 20),
-    "alpha": 0.05,
-    "pca_components": None,
-}
-
-# The JSON types a config file may give each key, matched exactly, so true and
-# false are not numbers; sample_sizes is a list of integers.
-_CONFIG_TYPES = {
-    "seed": (int,), "out_dir": (str,), "format": (str,), "threads": (int, type(None)),
-    "method": (str,), "permutations": (int,), "bootstraps": (int,), "splits": (int,),
-    "iterations": (int,), "sample_sizes": (list,), "alpha": (int, float),
-    "pca_components": (int, float, str, type(None)),
-}
 
 
 def _resolve(args, key):
     """Flag > config file > default."""
-    flag = getattr(args, key, None)
+    flag = getattr(args, key)
     if flag is not None:
         return flag
-    cfg = getattr(args, "_config_data", {})
+    cfg = args._config_data
     if key in cfg:
         value = cfg[key]
         return tuple(value) if key == "sample_sizes" else value
-    return _DEFAULTS.get(key)
+    return _OPTIONS[key][0]
 
 
-def _effective(args, keys) -> dict:
-    out = {k: _resolve(args, k) for k in keys}
+def _effective(args) -> dict:
+    """The resolved value of each option the subcommand's parser defines."""
+    out = {k: _resolve(args, k) for k in _OPTIONS if k in vars(args)}
     if out.get("sample_sizes") == ():
         raise ValueError("--sample-sizes must list at least one sample size")
-    if out.get("threads") is None:
+    if "threads" in out and out["threads"] is None:
         out["threads"] = default_threads()
     return out
+
+
+def _echo(eff: dict) -> dict:
+    return {k: v for k, v in eff.items() if k not in _NOT_ECHOED}
 
 
 def _methods(method: str) -> tuple[str, ...]:
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     sweep.add_argument("--x", help="X block CSV (not needed for fpr)")
     sweep.add_argument("--y", help="Y block CSV (not needed for fpr)")
-    sweep.add_argument("--method", choices=(PLS, CCA, "both"), default=None)
+    sweep.add_argument("--method", choices=METHODS, default=None)
     sweep.add_argument("--sample-sizes", type=_int_list, default=None)
     sweep.add_argument("--iterations", type=int, default=None)
     sweep.add_argument("--permutations", type=int, default=None)
@@ -262,11 +269,14 @@ def _load_config_file(args):
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
         for key, value in data.items():
-            if key not in _DEFAULTS:
+            if key not in _OPTIONS:
                 raise ValueError(f"config file: unknown key {key!r}")
-            if type(value) not in _CONFIG_TYPES[key] or (
+            if type(value) not in _OPTIONS[key][1] or (
                     key == "sample_sizes" and any(type(v) is not int for v in value)):
                 raise ValueError(f"config file: {key!r} has the wrong type: {json.dumps(value)}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"config file: {key!r} must be one of "
+                                 f"{', '.join(_CHOICES[key])}: {json.dumps(value)}")
     args._config_data = data
 
 
@@ -287,15 +297,18 @@ def _pca_pre(raw):
     return value
 
 
-def _emit(report: ReportDocument, eff: dict, stem: str) -> list[Path]:
-    paths = write_report(report, eff["out_dir"], stem=stem, format=eff["format"])
-    for p in paths:
-        print(p)
-    return paths
+def _emit(eff: dict, kind: str, sections: dict, config: dict, stem: str | None = None) -> int:
+    """Build the report, write it where and as ``eff`` says, and print the paths."""
+    report = ReportDocument.build(kind=kind, seed=eff["seed"], config=config,
+                                  sections=sections)
+    for path in write_report(report, eff["out_dir"], stem=stem or kind.replace("-", "_"),
+                             format=eff["format"]):
+        print(path)
+    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads"))
+    eff = _effective(args)
     out_dir = Path(eff["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.generator == "null":
@@ -308,41 +321,28 @@ def _cmd_simulate(args) -> int:
             eta=args.eta, r2=args.r2, seed=eff["seed"],
         )
         dataset = generate_relevant_subspace(spec)
-        config = {
-            "generator": "subspace", "n": spec.n, "p": spec.p,
-            "q_per_component": spec.q_per_component, "relpos": spec.relpos,
-            "gamma": spec.gamma, "m": spec.m, "ypos": spec.ypos,
-            "eta": spec.eta, "r2": spec.r2,
-        }
-    x_path = write_block_csv(dataset.x, out_dir / "x.csv")
-    y_path = write_block_csv(dataset.y, out_dir / "y.csv")
-    print(x_path)
-    print(y_path)
+        config = {"generator": "subspace", **dataclasses.asdict(spec)}
+        del config["seed"]
+    print(write_block_csv(dataset.x, out_dir / "x.csv"))
+    print(write_block_csv(dataset.y, out_dir / "y.csv"))
     truth = dataset.truth
     for name, matrix in (("cov_xx", truth.cov_xx), ("cov_xy", truth.cov_xy),
                          ("cov_yy", truth.cov_yy)):
         print(write_matrix_csv(matrix, out_dir / f"truth_{name}.csv"))
-    report = ReportDocument.build(
-        kind="simulate", seed=eff["seed"], config=config,
-        sections={
-            "truth": {
-                "x_eigenvalues": truth.x_eigenvalues,
-                "y_eigenvalues": truth.y_eigenvalues,
-                "latent_cross_cov": truth.latent_cross_cov,
-                "informative_y": truth.informative_y,
-                "relevant_predictors": truth.relevant_predictors,
-                "x_mixing": truth.x_mixing,
-                "y_mixing": truth.y_mixing,
-            }
-        },
-    )
-    _emit(report, eff, "truth")
-    return EXIT_OK
+    section = {
+        "x_eigenvalues": truth.x_eigenvalues,
+        "y_eigenvalues": truth.y_eigenvalues,
+        "latent_cross_cov": truth.latent_cross_cov,
+        "informative_y": truth.informative_y,
+        "relevant_predictors": truth.relevant_predictors,
+        "x_mixing": truth.x_mixing,
+        "y_mixing": truth.y_mixing,
+    }
+    return _emit(eff, "simulate", {"truth": section}, config, stem="truth")
 
 
 def _cmd_fit(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
-                            "permutations", "bootstraps", "splits", "pca_components"))
+    eff = _effective(args)
     x = load_csv(args.x)
     y = load_csv(args.y)
     config = ExperimentConfig(
@@ -351,19 +351,11 @@ def _cmd_fit(args) -> int:
         seed=eff["seed"], threads=eff["threads"],
     )
     result = run_full_sample(x, y, config)
-    report = ReportDocument.build(
-        kind="fit", seed=eff["seed"],
-        config={k: eff[k] for k in ("method", "permutations", "bootstraps", "splits",
-                                    "pca_components")},
-        sections={"full_sample": full_sample_section(result)},
-    )
-    _emit(report, eff, "fit")
-    return EXIT_OK
+    return _emit(eff, "fit", {"full_sample": full_sample_section(result)}, _echo(eff))
 
 
 def _cmd_permute(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
-                            "permutations"))
+    eff = _effective(args)
     x = load_csv(args.x)
     y = load_csv(args.y)
     sections = {}
@@ -371,18 +363,11 @@ def _cmd_permute(args) -> int:
         res = permutation_test(x, y, method, n_perm=eff["permutations"], seed=eff["seed"],
                                threads=eff["threads"])
         sections[f"permutation_{method}"] = permutation_section(res, include_draws=True)
-    report = ReportDocument.build(
-        kind="permute", seed=eff["seed"],
-        config={"method": eff["method"], "permutations": eff["permutations"]},
-        sections=sections,
-    )
-    _emit(report, eff, "permute")
-    return EXIT_OK
+    return _emit(eff, "permute", sections, _echo(eff))
 
 
 def _cmd_bootstrap(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
-                            "bootstraps"))
+    eff = _effective(args)
     x = load_csv(args.x)
     y = load_csv(args.y)
     sections = {}
@@ -390,17 +375,11 @@ def _cmd_bootstrap(args) -> int:
         res = bootstrap_ci(x, y, method, n_boot=eff["bootstraps"], seed=eff["seed"],
                            threads=eff["threads"])
         sections[f"bootstrap_{method}"] = bootstrap_section(res, x.labels, y.labels)
-    report = ReportDocument.build(
-        kind="bootstrap", seed=eff["seed"],
-        config={"method": eff["method"], "bootstraps": eff["bootstraps"]},
-        sections=sections,
-    )
-    _emit(report, eff, "bootstrap")
-    return EXIT_OK
+    return _emit(eff, "bootstrap", sections, _echo(eff))
 
 
 def _cmd_reproduce(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "method", "splits"))
+    eff = _effective(args)
     x = load_csv(args.x)
     y = load_csv(args.y)
     sections = {}
@@ -419,20 +398,12 @@ def _cmd_reproduce(args) -> int:
             body["null_train_test"] = train_test_section(ntt)
             body["null_split_half"] = split_half_section(nsh)
         sections[f"reproducibility_{method}"] = body
-    report = ReportDocument.build(
-        kind="reproduce", seed=eff["seed"],
-        config={"method": eff["method"], "splits": eff["splits"],
-                "null_calibrate": bool(args.null_calibrate)},
-        sections=sections,
-    )
-    _emit(report, eff, "reproduce")
-    return EXIT_OK
+    return _emit(eff, "reproduce", sections,
+                 {**_echo(eff), "null_calibrate": args.null_calibrate})
 
 
 def _cmd_sweep(args) -> int:
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "method",
-                            "permutations", "splits", "iterations", "sample_sizes",
-                            "alpha", "pca_components"))
+    eff = _effective(args)
     config = ExperimentConfig(
         sample_sizes=eff["sample_sizes"], n_iterations=eff["iterations"],
         n_perm=eff["permutations"], n_split=eff["splits"],
@@ -451,30 +422,16 @@ def _cmd_sweep(args) -> int:
             report_data = run_detectability(x, y, config)
         else:
             report_data = run_reproducibility_by_n(x, y, config)
-    report = ReportDocument.build(
-        kind=f"sweep-{args.kind}", seed=eff["seed"],
-        config={k: eff[k] for k in ("method", "permutations", "splits", "iterations",
-                                    "sample_sizes", "alpha", "pca_components")},
-        sections={"subsample": subsample_section(report_data)},
-    )
-    _emit(report, eff, f"sweep_{args.kind}")
-    return EXIT_OK
+    return _emit(eff, f"sweep-{args.kind}", {"subsample": subsample_section(report_data)},
+                 _echo(eff))
 
 
 def _cmd_pca(args) -> int:
+    eff = _effective(args)
     if args.task == "fit":
-        eff = _effective(args, ("seed", "out_dir", "format", "threads"))
-        x = load_csv(args.x)
-        model = fit_pca(x)
-        report = ReportDocument.build(
-            kind="pca-fit", seed=eff["seed"], config={"x": str(args.x)},
-            sections={"pca": pca_section(model)},
-        )
-        _emit(report, eff, "pca_fit")
-        return EXIT_OK
+        model = fit_pca(load_csv(args.x))
+        return _emit(eff, "pca-fit", {"pca": pca_section(model)}, {"x": str(args.x)})
     if args.task == "scores":
-        eff = _effective(args, ("seed", "out_dir", "format", "threads",
-                                "pca_components"))
         x = load_csv(args.x)
         model = fit_pca(x)
         n_keep = _resolve_n_keep(_pca_pre(eff["pca_components"]), model)
@@ -483,8 +440,6 @@ def _cmd_pca(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         print(write_block_csv(scores, out))
         return EXIT_OK
-    eff = _effective(args, ("seed", "out_dir", "format", "threads", "sample_sizes",
-                            "iterations", "pca_components"))
     n_pc = _pca_pre(eff["pca_components"]) or 2
     if not isinstance(n_pc, int):
         raise ValueError("--pca-components must be an int >= 1 for pca stability")
@@ -493,20 +448,15 @@ def _cmd_pca(args) -> int:
         x, sample_sizes=eff["sample_sizes"], n_iter=eff["iterations"], n_pc=n_pc,
         with_alignment=args.align, seed=eff["seed"], threads=eff["threads"],
     )
-    report = ReportDocument.build(
-        kind="pca-stability", seed=eff["seed"],
-        config={"sample_sizes": eff["sample_sizes"], "iterations": eff["iterations"],
-                "n_pc": n_pc, "align": bool(args.align)},
-        sections={"pca_stability": pca_stability_section(result)},
-    )
-    _emit(report, eff, "pca_stability")
-    return EXIT_OK
+    config = {"sample_sizes": eff["sample_sizes"], "iterations": eff["iterations"],
+              "n_pc": n_pc, "align": args.align}
+    return _emit(eff, "pca-stability", {"pca_stability": pca_stability_section(result)},
+                 config)
 
 
 def _cmd_plot_data(args) -> int:
-    out_dir = args.out_dir if args.out_dir is not None else "."
     report = ReportDocument.from_json(Path(args.report).read_text(encoding="utf-8"))
-    for path in emit_plot_data(report, args.kind, out_dir):
+    for path in emit_plot_data(report, args.kind, _effective(args)["out_dir"]):
         print(path)
     return EXIT_OK
 

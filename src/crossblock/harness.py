@@ -44,6 +44,7 @@ from .datagen import generate_null
 from .decomposition import CCA, PLS, check_method
 from .errors import ConstantColumn, RankDeficient
 from .inference import (
+    MIN_BOOTSTRAPS,
     BartlettResult,
     BootstrapResult,
     PermutationResult,
@@ -95,9 +96,11 @@ class ExperimentConfig:
             raise ValueError("sample_sizes must list at least one size, each at least 2")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        for name in ("n_iterations", "n_perm", "n_boot", "n_split"):
+        for name in ("n_iterations", "n_perm", "n_split"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.n_boot < MIN_BOOTSTRAPS:
+            raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
         if not self.methods:
             raise ValueError("at least one method is required")
         pca = self.pca_pre

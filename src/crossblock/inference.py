@@ -28,6 +28,8 @@ from .parallel import map_draws
 from .rng import permutation_rows, substream
 
 _BOOT_MAX_RETRIES = 100
+# Fewest bootstrap draws whose 2.5% and 97.5% percentiles make an interval.
+MIN_BOOTSTRAPS = 100
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,8 @@ def bootstrap_ci(
     would bias the distribution.
     """
     method = check_method(method)
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    if n_boot < MIN_BOOTSTRAPS:
+        raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
     pair = prepare_pair(x, y, whiten=method == CCA)
     u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(pair, pair.sums())
     unwrap(error)

@@ -13,7 +13,7 @@ separator, decimal points, no thousands separators.
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from . import __version__
 from .blocks import DataBlock
 from .decomposition import NUMERICS_CONTRACT
 from .errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
-from .harness import FullSampleResult, SubsampleReport
+from .harness import AnyLvCell, FullSampleResult, SubsampleCell, SubsampleReport
 from .inference import BartlettResult, BootstrapResult, PermutationResult
 from .pca import PcaModel, PcaStabilityResult
 from .reproducibility import SplitHalfReport, TrainTestReport
@@ -36,7 +36,7 @@ SCHEMA_VERSION = 1
 # CSV data blocks
 # ---------------------------------------------------------------------------
 
-def load_csv(path, header: bool = True, delimiter: str = ",") -> DataBlock:
+def load_csv(path, header: bool = True) -> DataBlock:
     """Read a rectangular numeric CSV file into a DataBlock.
 
     The first non-blank row is treated as the header unless ``header`` is
@@ -56,17 +56,17 @@ def load_csv(path, header: bool = True, delimiter: str = ",") -> DataBlock:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if header:
             # readline, not iteration, so that fh.tell() stays usable
-            reader = csv.reader(iter(fh.readline, ""), delimiter=delimiter)
+            reader = csv.reader(iter(fh.readline, ""))
             labels = tuple(c.strip() for c in next((r for r in reader if r), ()))
-        values = _parse_body(fh, delimiter)
+        values = _parse_body(fh)
     if not header and values is not None:
         labels = tuple(f"v{j + 1}" for j in range(values.shape[1]))
     if values is None or values.shape[1] != len(labels):
-        return _scan_csv(path, header, delimiter)
+        return _scan_csv(path, header)
     return DataBlock(values, labels)
 
 
-def _parse_body(fh, delimiter: str):
+def _parse_body(fh):
     """The rest of ``fh`` as a finite float matrix, or None if the fast parse fails."""
     start = fh.tell()
     # np.loadtxt warns on input without data rows; leave those to the scan
@@ -74,14 +74,18 @@ def _parse_body(fh, delimiter: str):
         return None
     fh.seek(start)
     try:
-        values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
+        values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _scan_csv(path: Path, header: bool, delimiter: str) -> DataBlock:
-    """Parse cell by cell, raising ParseErrors with 1-based file coordinates."""
+def _scan_csv(path: Path, header: bool, delimiter: str = ",") -> DataBlock:
+    """Parse cell by cell, raising ParseErrors with 1-based file coordinates.
+
+    ``delimiter`` is there for the tests that hold the fast parse to this
+    scan; ``load_csv`` reads comma-separated files only.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [
             (i, r) for i, r in enumerate(csv.reader(fh, delimiter=delimiter), 1) if r
@@ -116,25 +120,14 @@ def _scan_csv(path: Path, header: bool, delimiter: str) -> DataBlock:
 
 def write_block_csv(block: DataBlock, path) -> Path:
     """Write a DataBlock with full-precision decimal values."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(block.labels)
-        for row in block.values:
-            writer.writerow([repr(float(v)) for v in row])
-    return path
+    return _write_table(Path(path), block.labels, block.values.tolist())
 
 
-def write_matrix_csv(matrix: np.ndarray, path, prefix: str = "c") -> Path:
-    """Write a bare matrix with generated column headers."""
-    labels = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
-    return path
+def write_matrix_csv(matrix: np.ndarray, path) -> Path:
+    """Write a bare matrix with generated column headers c1..ck."""
+    matrix = np.atleast_2d(matrix)
+    return _write_table(Path(path), [f"c{j + 1}" for j in range(matrix.shape[1])],
+                        matrix.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -353,40 +346,8 @@ def full_sample_section(result: FullSampleResult, include_draws: bool = False) -
 
 
 def subsample_section(report: SubsampleReport) -> dict:
-    cells = [
-        {
-            "method": c.method,
-            "sample_size": c.sample_size,
-            "lv": c.lv,
-            "status": c.status,
-            "detectability": c.detectability,
-            "train_test_z": c.train_test_z,
-            "split_half_z_u": c.split_half_z_u,
-            "split_half_z_v": c.split_half_z_v,
-            "n_completed": c.n_completed,
-            "n_skipped": c.n_skipped,
-            "skip_reason": c.skip_reason,
-        }
-        for c in report.cells
-    ]
-    any_lv = [
-        {
-            "method": a.method,
-            "sample_size": a.sample_size,
-            "status": a.status,
-            "fraction": a.fraction,
-            "n_completed": a.n_completed,
-        }
-        for a in report.any_lv
-    ]
-    return {
-        "kind": report.kind,
-        "alpha": report.alpha,
-        "lv_count": report.lv_count,
-        "n_iterations": report.n_iterations,
-        "cells": cells,
-        "any_lv": any_lv,
-    }
+    """The report's fields; each cell keyed by its dataclass field names."""
+    return asdict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +361,11 @@ def _write_table(path: Path, headers, rows) -> Path:
         for row in rows:
             writer.writerow(["" if v is None else _cell(v) for v in row])
     return path
+
+
+def _records_table(path: Path, headers, records) -> Path:
+    """One row per record (a dict), its values in ``headers`` order."""
+    return _write_table(path, headers, ([r[h] for h in headers] for r in records))
 
 
 def _cell(v):
@@ -446,25 +412,11 @@ def write_report(report: ReportDocument, out_dir, stem: str = "report",
 def _section_tables(bundle: Path, name: str, section) -> list[Path]:
     out = []
     if name == "subsample":
-        rows = [
-            [c["method"], c["sample_size"], c["lv"], c["status"], c["detectability"],
-             c["train_test_z"], c["split_half_z_u"], c["split_half_z_v"],
-             c["n_completed"], c["n_skipped"], c["skip_reason"]]
-            for c in section["cells"]
-        ]
-        out.append(_write_table(
-            bundle / "subsample_cells.csv",
-            ["method", "sample_size", "lv", "status", "detectability", "train_test_z",
-             "split_half_z_u", "split_half_z_v", "n_completed", "n_skipped", "skip_reason"],
-            rows,
-        ))
+        out.append(_records_table(bundle / "subsample_cells.csv",
+                                  [f.name for f in fields(SubsampleCell)], section["cells"]))
         if section.get("any_lv"):
-            out.append(_write_table(
-                bundle / "any_lv_rejection.csv",
-                ["method", "sample_size", "status", "fraction", "n_completed"],
-                [[a["method"], a["sample_size"], a["status"], a["fraction"], a["n_completed"]]
-                 for a in section["any_lv"]],
-            ))
+            out.append(_records_table(bundle / "any_lv_rejection.csv",
+                                      [f.name for f in fields(AnyLvCell)], section["any_lv"]))
         return out
     if name == "full_sample":
         for method, body in section["per_method"].items():
@@ -489,11 +441,9 @@ def _section_tables(bundle: Path, name: str, section) -> list[Path]:
                     body["split_half"]["z_v"]))],
             ))
             if "bartlett" in body:
-                out.append(_write_table(
+                out.append(_records_table(
                     bundle / f"bartlett_{method}.csv",
-                    ["start_lv", "chi_square", "df", "p_value"],
-                    [[t["start_lv"], t["chi_square"], t["df"], t["p_value"]]
-                     for t in body["bartlett"]],
+                    ["start_lv", "chi_square", "df", "p_value"], body["bartlett"],
                 ))
             out.append(_write_table(
                 bundle / f"stable_weights_{method}.csv",

@@ -32,6 +32,12 @@ class TestConfig:
         assert cfg.methods == (PLS, CCA)
         assert cfg.alpha == 0.05
 
+    @pytest.mark.parametrize("n_boot", [0, 50, 99])
+    def test_rejects_fewer_bootstraps_than_bootstrap_ci_accepts(self, n_boot):
+        with pytest.raises(ValueError, match="n_boot must be at least 100"):
+            ExperimentConfig(n_boot=n_boot)
+        assert ExperimentConfig(n_boot=100).n_boot == 100
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=1.5)

@@ -414,7 +414,9 @@ class TestCli:
         ({"permutations": "5"}, "permutations"),
         ({"permutations": True}, "permutations"),
         ({"sample_sizes": [60, 2.5]}, "sample_sizes"),
-    ], ids=["misspelled", "string", "bool", "float-entry"])
+        ({"format": "xml"}, "format"),  # would fail only after the run
+        ({"method": "PLS"}, "method"),  # would run as an unknown section name
+    ], ids=["misspelled", "string", "bool", "float-entry", "format-choice", "method-choice"])
     def test_bad_config_file_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         data = tmp_path / "d"
         self.run("simulate", "null", "--n", "120", "--p", "3", "--q", "2",
@@ -428,8 +430,35 @@ class TestCli:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_every_option_has_a_config_type(self):
-        assert set(cli._CONFIG_TYPES) == set(cli._DEFAULTS)
+    def test_fit_refuses_too_few_bootstraps_before_any_resampling(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "3", "--q", "2",
+                 "--seed", "1", "--out-dir", str(data))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with mock.patch.object(cli, "run_full_sample",
+                               side_effect=AssertionError("resampling ran")):
+            assert self.run("fit", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                            "--bootstraps", "50", "--out-dir", str(out)) == 2
+        assert "n_boot must be at least 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plot_data_takes_out_dir_from_the_config_file(self, tmp_path, monkeypatch):
+        report = tmp_path / "out"
+        assert self.run("sweep", "--kind", "fpr", "--iterations", "3",
+                        "--permutations", "10", "--sample-sizes", "40",
+                        "--fpr-n", "200", "--fpr-p", "4", "--fpr-q", "2",
+                        "--seed", "3", "--out-dir", str(report)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "from_config")}))
+        monkeypatch.chdir(tmp_path)
+        args = ("plot-data", "--report", str(report / "sweep_fpr.json"),
+                "--kind", "detectability-bars", "--config", str(cfg))
+        assert self.run(*args) == 0
+        assert (tmp_path / "from_config" / "detectability_bars.csv").exists()
+        assert not (tmp_path / "detectability_bars.csv").exists()
+        assert self.run(*args, "--out-dir", str(tmp_path / "from_flag")) == 0
+        assert (tmp_path / "from_flag" / "detectability_bars.csv").exists()
 
     @pytest.mark.parametrize("flag, config", [
         (("--pca-components", "0.5"), None),
