@@ -227,7 +227,7 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
         below the rank tolerance.
     """
     pair = prepare_pair(x, y)
-    r = pair.moments(pair.sums())[0]  # the z-scores' covariances
+    r = _within_correlation(pair.data[:, 1:])  # of both blocks' z-scores together
     rxy = r[: x.k, x.k :]
     omega = None
     if with_omega:
@@ -247,7 +247,7 @@ class PreparedPair:
     ``data`` is (n, 1 + p + q): a column of ones, then X's basis, then Y's:
     the z-scores, or (CCA) the z-scores whitened so that each block's Gram
     is (n - 1) I, with ``roots`` holding each block's map B back (z = w B).
-    A draw's moments are ``sums``: row-weighted sums of outer products.
+    A draw's moments come from ``sums``; PLS's hold no within-block products.
     """
 
     data: np.ndarray
@@ -256,31 +256,43 @@ class PreparedPair:
     roots: tuple[np.ndarray, np.ndarray] | None = None
 
     def sums(self, rows=slice(None), y_rows=None) -> np.ndarray:
-        """Sums g' g over all rows, or over each draw of a (..., m) stack of
-        row draws, a row weighted by how often its draw takes it; ``y_rows``
-        pairs other rows' Y with those X rows. [0, 0] is the total weight."""
+        """``_row_sums`` over all rows or, a row weighted by how often its draw takes it, over
+        each draw of a (..., m) stack of row draws; ``y_rows`` pairs other rows' Y with them."""
         if isinstance(rows, slice):
-            g = self.data[rows]
-            return g.T @ g
+            return self._row_sums(self.data[rows])
         total = 0.0
         y = None if y_rows is None else np.ascontiguousarray(self.data[:, 1 + self.p :])
         for start in range(0, rows.shape[-1], _SUM_ROWS):  # a small gather at a time
             g = self.data.take(rows[..., start : start + _SUM_ROWS], axis=0)
             if y is not None:
                 g[..., 1 + self.p :] = y.take(y_rows[..., start : start + _SUM_ROWS], axis=0)
-            total = total + g.swapaxes(-1, -2) @ g
+            total = total + self._row_sums(g)
         return total
 
+    def _row_sums(self, g: np.ndarray) -> np.ndarray:
+        """Sums over the rows of (..., m, 1 + p + q) data g: CCA's g' g; PLS's column sums
+        and squared column sums of g, each led by the total weight, then Zx' Zy."""
+        if self.roots is not None:
+            return g.swapaxes(-1, -2) @ g
+        cross = g[..., 1 : 1 + self.p].swapaxes(-1, -2) @ g[..., 1 + self.p :]
+        return np.concatenate([np.ones(g.shape[-2]) @ g, np.einsum("...ij,...ij->...j", g, g),
+                               cross.reshape(*cross.shape[:-2], -1)], axis=-1)
+
     def moments(self, sums: np.ndarray):
-        """Covariances in the basis, each column's z-basis sd and the mask of
-        columns constant on the draw (sd 1 stands in for theirs), for one
-        draw's sums or a stack."""
-        count = sums[..., :1, :1]
-        mean = sums[..., :1, 1:] / count
-        cov = (sums[..., 1:, 1:] - count * mean.swapaxes(-1, -2) * mean) / (count - 1)
+        """Covariances in the basis (PLS: of X with Y only), each column's
+        z-basis sd and the mask of columns constant on the draw (sd 1 stands
+        in for theirs), for one draw's sums or a stack."""
         if self.roots is None:
-            var = np.diagonal(cov, axis1=-2, axis2=-1)
+            k = self.data.shape[1] - 1
+            count = sums[..., :1]
+            mean = sums[..., 1 : 1 + k] / count
+            var = (sums[..., 2 + k : 2 + 2 * k] - count * mean * mean) / (count - 1)
+            xy = count[..., None] * mean[..., : self.p, None] * mean[..., None, self.p :]
+            cov = (sums[..., 2 + 2 * k :].reshape(xy.shape) - xy) / (count[..., None] - 1)
         else:
+            count = sums[..., :1, :1]
+            mean = sums[..., :1, 1:] / count
+            cov = (sums[..., 1:, 1:] - count * mean.swapaxes(-1, -2) * mean) / (count - 1)
             var = np.concatenate([np.einsum("ji,...jk,ki->...i", b, cov[..., part, part], b)
                                   for b, part in zip(self.roots, _parts(self.p))], axis=-1)
         constant = var <= _CONSTANT_DRAW_VAR

@@ -30,7 +30,6 @@ from .decomposition import CCA, PLS
 from .errors import (
     CrossBlockError,
     InfeasibleR2,
-    NotPositiveDefinite,
     ParseError,
     RankDeficient,
     ResamplingError,
@@ -70,7 +69,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_NUMERICAL_ERRORS = (RankDeficient, NotPositiveDefinite, ResamplingError)
+_NUMERICAL_ERRORS = (RankDeficient, ResamplingError)
 
 FORMATS = ("json", "csv")
 METHODS = (PLS, CCA, "both")

@@ -36,8 +36,9 @@ METHODS = (PLS, CCA)
 # Versions the arithmetic that turns data into reported numbers; written into
 # every report's metadata. Contract 1 evaluates every draw from weighted
 # moments of a pair prepared once, and CCA in a whitened basis; contract 2
-# takes permutation null singular values from eigenvalues of a small Gram.
-NUMERICS_CONTRACT = 2
+# takes permutation null singular values from eigenvalues of a small Gram;
+# contract 3 drops PLS's within-block sums and chunks permutation products.
+NUMERICS_CONTRACT = 3
 
 _ORTHO_TOL = 1e-8
 
@@ -239,7 +240,7 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray):
     errors = _constant_errors(constant, pair.labels)
     x, y = _parts(pair.p)
     if pair.roots is None:
-        m = cov[..., x, y] / (sd[..., x, None] * sd[..., None, y])
+        m = cov / (sd[..., x, None] * sd[..., None, y])
         return (*_oriented_svd(m), m, errors)
     inverses, polars = [], []
     for name, part, root in zip("xy", (x, y), pair.roots):

@@ -80,16 +80,10 @@ def _parse_body(fh):
     return values if np.isfinite(values).all() else None
 
 
-def _scan_csv(path: Path, header: bool, delimiter: str = ",") -> DataBlock:
-    """Parse cell by cell, raising ParseErrors with 1-based file coordinates.
-
-    ``delimiter`` is there for the tests that hold the fast parse to this
-    scan; ``load_csv`` reads comma-separated files only.
-    """
+def _scan_csv(path: Path, header: bool) -> DataBlock:
+    """Parse cell by cell, raising ParseErrors with 1-based file coordinates."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [
-            (i, r) for i, r in enumerate(csv.reader(fh, delimiter=delimiter), 1) if r
-        ]
+        rows = [(i, r) for i, r in enumerate(csv.reader(fh), 1) if r]
     if not rows:
         raise EmptyFile(f"{path} contains no data")
     if header:

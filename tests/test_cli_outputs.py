@@ -51,15 +51,15 @@ PINNED = {
     "data/truth_cov_yy.csv":
         "a1596fe724ed90bcc687b2678fbd14b3014303a90805bf49b1b6e1d1efecc539",
     "data/truth.json":
-        "35d46f81517b813e49c7c5ed8807093fcc3751f9c6f9abdad49820b62c0c4a34",
+        "940f7a486e721d6906fc3f039ee4afb5becf1da670adb804b4495d43472c2612",
     "fit/fit/metadata.json":
-        "2a95e6e93ae172ef99d464d4d65f7387c7e9bc7bc777ef4e5bb5269919d797f5",
+        "8c34b75650396fc305d9c1d0ba9cd07668c6cb3d6e89fe64ac87ef1908d50d3b",
     "fit/fit/singular_values_pls.csv":
         "f5f207126a76515fff39dbeb816ec3ca0d47cee6ceccc7bcb1a89d645f518604",
     "fit/fit/reproducibility_z_pls.csv":
-        "45384bd89056f8d2c3aa0763cbfe808c8a6a9006d70eb3dfd7a6a7ab30b6b2c8",
+        "84bc9a7e9e94906a5874be36b5c65c486d9248246e334e7cec82a3b2ccd4565d",
     "fit/fit/stable_weights_pls.csv":
-        "803d19ec0050ecf567bce876806933038cf40ded0e817da6c5ef0c347d4021b6",
+        "c3901e2108fc33057c2d011d0cdf42d442a679d470c569812eafb70ce6471c8b",
     "fit/fit/singular_values_cca.csv":
         "cdb33e43df98c2c72378dec797cc48c040bd1005b5d42de932d7d00272598ca6",
     "fit/fit/reproducibility_z_cca.csv":
@@ -69,21 +69,21 @@ PINNED = {
     "fit/fit/stable_weights_cca.csv":
         "f8cac3ebe2562fc801d9a2360d2c362f3d29f3b3a7c816894a56a232284f6e04",
     "reproduce/reproduce.json":
-        "d1df88fdd9d78e9e747e1255f4d40db686488f46a9f2eed4d8a9809e37294ada",
+        "04bf3acd29a7cdb2d719aec0c84a4b9b04307e0255f80f5c50b1963d26470ad2",
     "sweep/sweep_fpr/metadata.json":
-        "8b84ea6b3304003b06ad0945aa9cdbd82c0a988897d3a4890e8eaa0a75222814",
+        "e2abf133724054f74553293d16628114df5e8b1bcfef834327956c8220751113",
     "sweep/sweep_fpr/subsample_cells.csv":
         "5ed0df97aa0ed08b8ec4711fdbc2eff958450ed4fa57891fb0556f312db72338",
     "sweep/sweep_fpr/any_lv_rejection.csv":
         "ef6c593d6998dcad9d48f8a29617fa666dd7810df66709c52c78ddf8b8139c61",
     "pca/pca_stability.json":
-        "a9a046157bbaaf7ae98f0cfe7027f85883e7d1b3d778576c321c9b7b808da89f",
+        "4edeb157e96107d77297927c3258de26905ad373900be873894d61b722275f8a",
     "plots/z_distribution_reproducibility_pls_train_test.csv":
-        "3cbd0e5bb4f5f60f60ac46be24acb1ea27281bd7f988e7acccaf17e7fc27ccf2",
+        "f766bd0daae4050c2d304f0c67f09a39286f16453865bd28bfe03fa7841c0e8c",
     "plots/z_distribution_reproducibility_pls_split_half_u.csv":
-        "7976e01a6356855f0111f287c34c1229bf33edbdc00ab7a8bba531abef309b7f",
+        "5c58480dfa3a2454ca2d8c5fb4de62cfca709f78872005999c0880ef2a9d113d",
     "plots/z_distribution_reproducibility_pls_split_half_v.csv":
-        "fe781441f77d96814f2c67b921db671ec93ae71566fc44228427dd3fc92a040d",
+        "003582757dfaf37e2169635fb71577c012aad684992a2f7201e94273a8409bf4",
 }
 
 

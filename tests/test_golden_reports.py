@@ -107,19 +107,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "detect-cca-blocked": "64317126e79a7ecc84feca6649ca68948835efe8b91a71337561be28bc55009e",
-    "detect-constant-skips": "5fef8c5e67ef8ce4569e31c5d209051fec78547002c3b07f2766b17e6194e5a3",
-    "detect-pca-fraction": "677cd01a8ba701e82efddc9a1fa1e757a68f916324194760b5f1b35f69a88b09",
-    "detect-pca-int": "f05e22f68b4559507d7665a93aa81875b1be46ba33d3c30d1948da48558d6f13",
-    "detect-plain": "265b918be0fabba54b3bdbde48edfb14fcd616d6d4e37c8d7b55d42b0132a6a7",
-    "detect-pls-only": "4060baf940ea2f26bcc7b367260039172c0b4f3ce21e23b060ad0509fc1dbd2a",
-    "fpr": "e5e9963854af96904ba302348aa82f86b5497dca30d74b85d3fdd1a86f1e9c14",
-    "full-pca": "1205b86d18408e63ea9599cc187e05ca374a5f9601f4e2f09d5f536e2e6fbe92",
-    "full-plain": "255f3b7a27f3d82689beb5390d8d75ffb11c64fa1ebb7d2a05b84779a3d0d13a",
-    "repro-constant-skips": "28807d40a94da46a7bfd9e66a2b53189b8b8e0e695511da0b53195c53601a876",
-    "repro-half-guard": "d94a713a0ea9e185a22dbb288655834f272f975fbeffa212538e71ce8fa9ba24",
-    "repro-pca": "86cd162ef30afe7405dc062c9dd22b9c06c4372f6096e0a06a1be6bee7ef250d",
-    "repro-plain": "9ba863dece06d3e9b4cff7edc501adcda75ef11b475954af6213160d4627d415",
+    "detect-cca-blocked": "04dd337b6c394dd3561b7ec5a627168a48572101df9c7b31dcee763f313bd40f",
+    "detect-constant-skips": "0ae4151bec52aa30ba2822bfb33adbd9143cfb6a0a2989cd6c804ed40efcfb8b",
+    "detect-pca-fraction": "e8377a81d9f047e829f2d76d9fb2bb8291b52f8a8587e64734c02ae0df1e4221",
+    "detect-pca-int": "48d8e6d3eb3f692e8ea7fd28c9ad6cc5a5ae54b92c8a6086932461008273137b",
+    "detect-plain": "98ae3418026fdd618d4907a817ada2842d82213187da1eb19feaa5df44e4f1f0",
+    "detect-pls-only": "ad3cf87ad593c38798a7ab3c3ac2a71e6b99db34b271aecabe68ca99df892e29",
+    "fpr": "ad09c9e4a58dd5d9b893b8cccaba44dda1503494ca8ad261a2aa64b218ca4e67",
+    "full-pca": "3e0966ac7d49af264891c9fa341dcdc2d043a03bf353b473f05d2c1417839b36",
+    "full-plain": "3e6f8749564cdb2c19ec1f54a0d9a74ad00ffadcfda8d2bea29a4640eff4ae92",
+    "repro-constant-skips": "f3ff78351943ddcd9aa5d37dca0fb24a6557b146f88ccf569c0a8f664a6184a8",
+    "repro-half-guard": "d4509fdfec096c5aad60909929dbe782847875ea8764b3f1aca3f413bcb1951c",
+    "repro-pca": "b8cd3855aa07e570a93579ef25e2e39e3a868910be4359fe9e14b8a615cd0b25",
+    "repro-plain": "9780e46828df1485d529e9aae134cd0be2b2ee4ef037bfef8dbe8de4c18c393c",
 }
 
 # sha256 of each case's ``sections`` alone, serialized as ``to_json`` does;
@@ -132,12 +132,12 @@ GOLDEN_SECTIONS = {
     "detect-plain": "8dafa500e8591a23027206784ed44fe58cbd7912e579ec21a0b317e024843b5e",
     "detect-pls-only": "096eee4e38570b4aa16b33279f91283ca94cb5f4a97448e9fd1c6b34af2c0d38",
     "fpr": "570855bd2eea957bfb71478592bcdb4c127ecbde792fdafa5c09c690dd991dda",
-    "full-pca": "ea64224974afbd35f651b001886f8ba50719ae1cf657521f6661a0ccc9aed654",
-    "full-plain": "88523344a26868dae81f56b961900f65057d1dea78c5fd40b1f94a757092a01c",
-    "repro-constant-skips": "b52189c9f3fac8ebdbe9ade27460ff847697404af41f30443a67a46101d32764",
-    "repro-half-guard": "97440a91c28a17c6b11002ad25f4c4af31bfb448c89893a164676d82647f3b59",
-    "repro-pca": "7c0534541edab8fa302d1abd95e0513bcbc3a69a063a6f8d2b24681d8108aea8",
-    "repro-plain": "facb84d63e45e2dc29e1645b02a7d91f5e1c78b5673c5b02067657b5a530fefc",
+    "full-pca": "360dde6b1985ece88aa577d9d29cceb9612a22488f809daf1477a0fe6ec5b7b5",
+    "full-plain": "efb7319a3c1cba7d74ebb7a144563ee11abc1960b112504e2fb14d6c309d0a18",
+    "repro-constant-skips": "59f48fc26c95f9cb9f1c7953e33f9ba51ad5527873f063c41dec7995ede93d41",
+    "repro-half-guard": "3839e6ba51ac5f5bc1bef33ebf500ac0ed0eea3e0d2c0d8aec0041dc5f5a2865",
+    "repro-pca": "476517339de69c83a2baa0b24053f51d5125e9aa5bed3e22f37accd4ae63b006",
+    "repro-plain": "e7a1ae72ab6e51f52a770564c428cfb1ee126f4380dc10a5d6e0934ae64a8896",
 }
 
 

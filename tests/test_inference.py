@@ -18,6 +18,7 @@ from crossblock import (
     generate_relevant_subspace,
     permutation_test,
 )
+from crossblock.blocks import _SUM_ROWS
 from crossblock.decomposition import CCA, PLS, CrossBlockModel
 from crossblock.errors import MethodMismatch
 from crossblock.inference import _singular_values
@@ -109,10 +110,11 @@ class TestNullSingularValues:
     @pytest.mark.parametrize("method", [PLS, CCA])
     @pytest.mark.parametrize("p, q", [(5, 3), (3, 5), (4, 1)])
     def test_identity_permutations_give_p_one(self, method, p, q):
-        x, y = gaussian_blocks(11, 60, p, q)
-        forced = np.tile(np.arange(60), (7, 1))
-        res = permutation_test(x, y, method, n_perm=7, seed=0, permutations=forced)
-        assert np.array_equal(res.p_values, np.ones(min(p, q)))
+        for n in (60, _SUM_ROWS + 300):  # one row chunk of the products; two
+            x, y = gaussian_blocks(11, n, p, q)
+            forced = np.tile(np.arange(n), (7, 1))
+            res = permutation_test(x, y, method, n_perm=7, seed=0, permutations=forced)
+            assert np.array_equal(res.p_values, np.ones(min(p, q)))
 
     def test_identity_permutations_give_p_one_for_a_rank_deficient_cross_matrix(self):
         x, y = gaussian_blocks(12, 60, 3, 4)

@@ -125,7 +125,7 @@ class TestLoadCsvFastPath:
         with mock.patch.object(crossblock_io, "_scan_csv",
                                side_effect=AssertionError("fell back to the scan")):
             fast = load_csv(path, header=header)
-        scan = crossblock_io._scan_csv(path, header, ",")
+        scan = crossblock_io._scan_csv(path, header)
         assert np.array_equal(bits(fast.values), bits(matrix))
         assert np.array_equal(bits(fast.values), bits(scan.values))
         assert fast.labels == scan.labels
@@ -168,7 +168,7 @@ class TestLoadCsvFastPath:
             warnings.simplefilter("error")
             outcomes = []
             for parse in (lambda: load_csv(path, header=header),
-                          lambda: crossblock_io._scan_csv(path, header, ",")):
+                          lambda: crossblock_io._scan_csv(path, header)):
                 try:
                     block = parse()
                 except (EmptyFile, NonNumericCell, RaggedRows) as err:
@@ -365,7 +365,7 @@ class TestCli:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
         metadata = json.loads(reports[0])["metadata"]
-        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 2
+        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 3
 
     @pytest.mark.parametrize("kind", ["fpr", "detectability"])
     def test_sweep_reports_identical_across_runs_and_thread_counts(self, tmp_path, kind):

@@ -128,3 +128,23 @@ def test_second_half_by_subtraction_equals_the_gathered_half(whiten):
     by_difference = pair.sums() - pair.sums(perm[None, :16])
     gathered = pair.sums(perm[None, 16:])
     assert np.abs(by_difference - gathered).max() <= 1e-12
+
+
+def test_pls_moments_match_those_of_the_full_gram():
+    # PLS sums hold no within-block products; its moments must still be
+    # those the full Gram g' g gives, to roundoff
+    rng = np.random.default_rng(6)
+    xv = rng.normal(size=(300, 4)) * 5.0 + 2.0
+    x, y = labelled(xv, "x"), labelled(0.4 * xv[:, :3] + rng.normal(size=(300, 3)), "y")
+    pair = prepare_pair(x, y)
+    rows = rng.integers(0, 300, (6, 300))
+    for got, g in ((pair.sums(rows), pair.data[rows]), (pair.sums(), pair.data)):
+        gram = g.swapaxes(-1, -2) @ g
+        count = gram[..., :1, :1]
+        mean = gram[..., :1, 1:] / count
+        cov = (gram[..., 1:, 1:] - count * mean.swapaxes(-1, -2) * mean) / (count - 1)
+        sd = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+        got_cov, got_sd, constant = pair.moments(got)
+        assert not constant.any()
+        assert np.abs(got_cov - cov[..., :4, 4:]).max() <= 1e-12 * np.abs(cov).max()
+        assert np.abs(got_sd / sd - 1.0).max() <= 1e-12

@@ -25,8 +25,10 @@ from crossblock import (
     DataBlock,
     ExperimentConfig,
     SimulationSpec,
+    bootstrap_ci,
     generate_null,
     generate_relevant_subspace,
+    null_calibration,
     permutation_test,
     run_detectability,
     run_full_sample,
@@ -34,7 +36,7 @@ from crossblock import (
     split_half,
     train_test,
 )
-from crossblock.blocks import RANK_REL_TOL, _adjustment_roots
+from crossblock.blocks import _SUM_ROWS, RANK_REL_TOL, _adjustment_roots, prepare_pair
 from crossblock.decomposition import METHODS, PLS
 from crossblock.errors import RankDeficient
 from crossblock.inference import permutation_matrix
@@ -93,6 +95,42 @@ def test_reports_identical_across_stack_sizes_and_threads(kind, monkeypatch):
         for threads in (1, 2):
             reports.add(report_bytes(kind, threads))
     assert len(reports) == 1
+
+
+def draw_bytes(x, y, threads):
+    """Every resampler's per-draw results (bootstrap: its intervals) as bytes."""
+    arrays = []
+    for method in METHODS:
+        arrays.append(permutation_test(x, y, method, n_perm=20, seed=3, threads=threads).null_s)
+        boot = bootstrap_ci(x, y, method, n_boot=100, seed=3, threads=threads)
+        arrays += [boot.us_lower, boot.us_upper, boot.vs_lower, boot.vs_upper]
+        arrays.append(train_test(x, y, method, n_split=6, seed=3, threads=threads).s_test_draws)
+        half = split_half(x, y, method, n_split=6, seed=3, threads=threads)
+        tt, sh = null_calibration(x, y, method, n_split=4, seed=3, threads=threads)
+        arrays += [half.u_cosine_draws, half.v_cosine_draws, tt.s_test_draws, sh.u_cosine_draws]
+    return b"".join(a.tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("q", [3, 1])
+def test_draws_identical_across_stack_sizes_and_threads_above_the_row_chunk(q, monkeypatch):
+    # above _SUM_ROWS rows, moment sums and permutation products add row chunks
+    ds = generate_null(_SUM_ROWS + 300, 4, q, seed=10)
+    outcomes = set()
+    for elements in (1, 10**9):  # one draw per stack; every batch in one stack
+        monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", elements)
+        for threads in (1, 2):
+            outcomes.add(draw_bytes(ds.x, ds.y, threads))
+    assert len(outcomes) == 1
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_a_draws_sums_do_not_depend_on_its_stack(whiten):
+    ds = generate_null(_SUM_ROWS + 300, 4, 1, seed=11)
+    pair = prepare_pair(ds.x, ds.y, whiten=whiten)
+    rows = np.random.default_rng(5).integers(0, ds.x.n, (5, ds.x.n))
+    stacked = pair.sums(rows)
+    for i in range(len(rows)):
+        assert stacked[i].tobytes() == pair.sums(rows[i : i + 1])[0].tobytes()
 
 
 @pytest.fixture
