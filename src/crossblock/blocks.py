@@ -234,7 +234,7 @@ def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> 
         from .decomposition import _fit_zscored  # the fitting kernel builds on this module
 
         pair = prepare_pair(x, y, whiten=True)
-        *_, omega, (error,) = _fit_zscored(pair, pair.sums())
+        *_, omega, (error,) = _fit_zscored(pair, pair.sums(), fit=None)
         unwrap(error)
     return CorrelationBundle(rxx=r[: x.k, : x.k], ryy=r[x.k :, x.k :], rxy=rxy,
                              ryx=rxy.T.copy(), omega=omega)
@@ -248,12 +248,17 @@ class PreparedPair:
     the z-scores, or (CCA) the z-scores whitened so that each block's Gram
     is (n - 1) I, with ``roots`` holding each block's map B back (z = w B).
     A draw's moments come from ``sums``; PLS's hold no within-block products.
+    ``data`` and ``roots`` are read-only, so resamplers may share a pair.
     """
 
     data: np.ndarray
     p: int
     labels: tuple[str, ...]
     roots: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        for m in (self.data, *(self.roots or ())):
+            m.setflags(write=False)
 
     def sums(self, rows=slice(None), y_rows=None) -> np.ndarray:
         """``_row_sums`` over all rows or, a row weighted by how often its draw takes it, over

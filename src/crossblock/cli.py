@@ -25,6 +25,7 @@ import json
 import sys
 from pathlib import Path
 
+from .blocks import prepare_pair
 from .datagen import SimulationSpec, generate_null, generate_relevant_subspace
 from .decomposition import CCA, PLS
 from .errors import (
@@ -383,17 +384,18 @@ def _cmd_reproduce(args) -> int:
     y = load_csv(args.y)
     sections = {}
     for method in _methods(eff["method"]):
+        pair = prepare_pair(x, y, whiten=method == CCA)
         tt = train_test(x, y, method, n_split=eff["splits"], seed=eff["seed"],
-                        threads=eff["threads"])
+                        threads=eff["threads"], pair=pair)
         sh = split_half(x, y, method, n_split=eff["splits"], seed=eff["seed"],
-                        threads=eff["threads"])
+                        threads=eff["threads"], pair=pair)
         body = {
             "train_test": train_test_section(tt),
             "split_half": split_half_section(sh),
         }
         if args.null_calibrate:
             ntt, nsh = null_calibration(x, y, method, n_split=eff["splits"],
-                                        seed=eff["seed"], threads=eff["threads"])
+                                        seed=eff["seed"], threads=eff["threads"], pair=pair)
             body["null_train_test"] = train_test_section(ntt)
             body["null_split_half"] = split_half_section(nsh)
         sections[f"reproducibility_{method}"] = body

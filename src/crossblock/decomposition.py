@@ -26,6 +26,7 @@ from .blocks import (
     _constant_errors,
     _parts,
     inverse_sqrt_sym,
+    prepare_pair,
 )
 from .errors import MethodMismatch, MissingOmega, RankDeficient, ShapeMismatch
 
@@ -221,12 +222,15 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(w, 0.0))[:, None] * v.T
 
 
-def _fit_zscored(pair: PreparedPair, sums: np.ndarray):
+def _fit_zscored(pair: PreparedPair, sums: np.ndarray, fit=..., basis=...):
     """The fitting kernel: fit one draw, or a stack, from its moment sums
     over a prepared pair (``PreparedPair.sums``), with results in each
     draw's own z-basis. Returns (u, s, v, m, errors): m is the draw's
     decomposed z-basis matrix, errors[i] draw i's ConstantColumn (X before
-    Y), else its RankDeficient (CCA), or None.
+    Y), else its RankDeficient (CCA), or None. Every draw gets its errors,
+    but only the draws ``fit`` selects are decomposed and only those
+    ``basis`` selects get m: each is an index of the stack's leading axis,
+    ``...`` for all, or None for none (and then u, s, v or m is None).
 
     PLS decomposes the draw's cross-correlations. CCA works in the pair's
     whitened basis, where a draw's Gram G is near the identity: with f' f = G
@@ -241,7 +245,8 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray):
     x, y = _parts(pair.p)
     if pair.roots is None:
         m = cov / (sd[..., x, None] * sd[..., None, y])
-        return (*_oriented_svd(m), m, errors)
+        u, s, v = (None,) * 3 if fit is None else _oriented_svd(m[fit])
+        return u, s, v, None if basis is None else m[basis], errors
     inverses, polars = [], []
     for name, part, root in zip("xy", (x, y), pair.roots):
         f = _gram_factor(cov[..., part, part])
@@ -255,6 +260,26 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray):
         inverses.append(np.linalg.inv(np.where(bad[..., None, None], np.eye(f.shape[-1]), f)))
         polars.append((ul @ vlt).swapaxes(-1, -2))
     k = inverses[0].swapaxes(-1, -2) @ cov[..., x, y] @ inverses[1]
-    uk, s, vkt = np.linalg.svd(k, full_matrices=False)
-    u, s, v = _oriented(polars[0] @ uk, s, polars[1] @ vkt.swapaxes(-1, -2))
-    return u, s, v, polars[0] @ k @ polars[1].swapaxes(-1, -2), errors
+    u = s = v = m = None
+    if fit is not None:
+        uk, s, vkt = np.linalg.svd(k[fit], full_matrices=False)
+        u, s, v = _oriented(polars[0][fit] @ uk, s, polars[1][fit] @ vkt.swapaxes(-1, -2))
+    if basis is not None:
+        m = polars[0][basis] @ k[basis] @ polars[1][basis].swapaxes(-1, -2)
+    return u, s, v, m, errors
+
+
+def _pair_for(x, y, method: str, pair: PreparedPair | None = None) -> PreparedPair:
+    """The pair ``method`` fits x and y from: ``pair``, which must be what
+    ``prepare_pair(x, y, whiten=method == CCA)`` returned, or, when None, a
+    new one. A pair whose basis, rows or columns differ raises ValueError."""
+    if pair is None:
+        return prepare_pair(x, y, whiten=method == CCA)
+    basis = ("z-scored (PLS)", "whitened (CCA)")
+    facts = (("basis", basis[pair.roots is not None], basis[method == CCA]),
+             ("X rows", len(pair.data), x.n), ("Y rows", len(pair.data), y.n),
+             ("X columns", pair.p, x.k), ("Y columns", pair.data.shape[1] - 1 - pair.p, y.k))
+    differ = [f"{name} {have}, the call needs {want}" for name, have, want in facts if have != want]
+    if differ:
+        raise ValueError("prepared pair does not match: " + "; ".join(differ))
+    return pair

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import DataBlock
+from .blocks import DataBlock, prepare_pair
 from .datagen import generate_null
 from .decomposition import CCA, PLS, check_method
 from .errors import ConstantColumn, RankDeficient
@@ -234,7 +234,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
     or whose X or Y within-block correlation is rank deficient, is reported
     as not-run with the reason (the rank failure names the block, its
     smallest eigenvalue and the tolerance) while the other method's results
-    stand.
+    stand. Each method's block pair is prepared once, for all its resamplers.
     """
     x_used, pca_model, n_keep = _reduce_x(x, config)
     entries = []
@@ -242,11 +242,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
         reason = _cca_sample_guard(x_used.n, x_used.k) if method == CCA else None
         if reason is None:
             try:
-                perm = permutation_test(
-                    x_used, y, method, n_perm=config.n_perm,
-                    seed=derive_seed(config.seed, "full-permutation"),
-                    threads=config.threads,
-                )
+                pair = prepare_pair(x_used, y, whiten=method == CCA)
             except RankDeficient as exc:
                 reason = str(exc)
         if reason is not None:
@@ -258,21 +254,27 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
                 )
             )
             continue
+        perm = permutation_test(
+            x_used, y, method, n_perm=config.n_perm,
+            seed=derive_seed(config.seed, "full-permutation"),
+            threads=config.threads, pair=pair,
+        )
         boot = bootstrap_ci(
             x_used, y, method, n_boot=config.n_boot,
             seed=derive_seed(config.seed, "full-bootstrap"),
-            threads=config.threads,
+            threads=config.threads, pair=pair,
         )
         tt = train_test(
             x_used, y, method, n_split=config.n_split,
             seed=derive_seed(config.seed, "full-train-test"),
-            threads=config.threads,
+            threads=config.threads, pair=pair,
         )
         sh = split_half(
             x_used, y, method, n_split=config.n_split,
             seed=derive_seed(config.seed, "full-split-half"),
-            threads=config.threads,
+            threads=config.threads, pair=pair,
         )
+        del pair  # before _bartlett imports scipy, so the two never add up in peak memory
         bart = None
         if method == CCA:  # on the permutation test's observed canonical correlations
             bart = _bartlett(perm.observed_s, n=x_used.n, p=x_used.k, q=y.k)
@@ -437,18 +439,19 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
     Each subsample runs both reproducibility assessments at depth
     ``n_split``; the reported cell is the mean z over subsamples whose
     assessment completed. CCA cells whose half-samples cannot clear the
-    rank guard are marked not-run up front.
+    rank guard are marked not-run up front. Both assessments share one pair.
     """
 
     def evaluate(size, i, xs, ys):
         def assess(method):
+            pair = prepare_pair(xs, ys, whiten=method == CCA)
             tt = train_test(
                 xs, ys, method, n_split=config.n_split,
-                seed=derive_seed(config.seed, "repro-train-test", size, i),
+                seed=derive_seed(config.seed, "repro-train-test", size, i), pair=pair,
             )
             sh = split_half(
                 xs, ys, method, n_split=config.n_split,
-                seed=derive_seed(config.seed, "repro-split-half", size, i),
+                seed=derive_seed(config.seed, "repro-split-half", size, i), pair=pair,
             )
             return tt.z, sh.z_u, sh.z_v
 

@@ -10,9 +10,10 @@ parametric equivalent for PLS.
 
 p-values are exact resampling counts (count / n_perm with a >= comparison),
 so a singular value larger than every permuted draw reports p = 0. Both
-resamplers prepare the block pair once (``prepare_pair``) and draw through
-``map_draws`` in stacks, each gathered by ``take`` from a C-contiguous
-basis (never by fancy index or from a strided view). A bootstrap stack is
+resamplers evaluate draws from a prepared block pair (``prepare_pair``),
+their own or one their caller shares, and draw through ``map_draws`` in
+stacks, each gathered by ``take`` from a C-contiguous basis (never by fancy
+index or from a strided view). A bootstrap stack is
 evaluated from weighted moments of the prepared rows; a permutation stack
 from its cross products, whose Gram eigenvalues give the null's values.
 Both sum 2048 rows at a time: X's chunk stays in cache across a stack.
@@ -22,8 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _SUM_ROWS, DataBlock, prepare_pair
-from .decomposition import CCA, CrossBlockModel, _fit_zscored, align_reflections, check_method
+from .blocks import _SUM_ROWS, DataBlock, PreparedPair
+from .decomposition import (
+    CCA,
+    CrossBlockModel,
+    _fit_zscored,
+    _pair_for,
+    align_reflections,
+    check_method,
+)
 from .errors import MethodMismatch, ResamplingError, unwrap
 from .parallel import map_draws
 from .rng import permutation_rows, substream
@@ -112,6 +120,7 @@ def permutation_test(
     seed: int = 0,
     permutations: np.ndarray | None = None,
     threads: int = 1,
+    pair: PreparedPair | None = None,
 ) -> PermutationResult:
     """Positional permutation test of the singular values.
 
@@ -133,11 +142,14 @@ def permutation_test(
     permutations : optional (n_perm, n) integer array
         Explicit permutations to use instead of random draws: exact or
         forced-null checks, or one matrix shared by several methods.
+    pair : optional PreparedPair
+        ``prepare_pair(x, y, whiten=method == CCA)`` shared by the caller;
+        it is checked against the blocks and method, and never changed.
     """
     method = check_method(method)
     if n_perm < 1:
         raise ValueError("n_perm must be at least 1")
-    pair = prepare_pair(x, y, whiten=method == CCA)
+    pair = _pair_for(x, y, method, pair)
     n, p = x.n, x.k
     scale = 1.0 / (n - 1)
     xb, yb = pair.data[:, 1 : 1 + p], np.ascontiguousarray(pair.data[:, 1 + p :])
@@ -183,6 +195,7 @@ def bootstrap_ci(
     n_boot: int = 1000,
     seed: int = 0,
     threads: int = 1,
+    pair: PreparedPair | None = None,
 ) -> BootstrapResult:
     """Bootstrap 95% percentile intervals for the scaled vector weights.
 
@@ -198,13 +211,13 @@ def bootstrap_ci(
     or that fails the CCA rank guard, is redrawn for that slot only, from
     the (seed, "bootstrap-retry", i) generator, up to 100 attempts in all
     before the iteration aborts with a diagnostic; silently skipping draws
-    would bias the distribution.
+    would bias the distribution. ``pair`` is as in ``permutation_test``.
     """
     method = check_method(method)
     if n_boot < MIN_BOOTSTRAPS:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
-    pair = prepare_pair(x, y, whiten=method == CCA)
-    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(pair, pair.sums())
+    pair = _pair_for(x, y, method, pair)
+    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(pair, pair.sums(), basis=None)
     unwrap(error)
     us_obs = u_obs * s_obs
     vs_obs = v_obs * s_obs
@@ -213,7 +226,7 @@ def bootstrap_ci(
     def fits(idx):
         """U * s and V * s of a stack of draws, aligned to the observed U, and
         the draws to redraw (a constant column or a CCA rank failure)."""
-        u, s, v, _, errors = _fit_zscored(pair, pair.sums(idx))
+        u, s, v, _, errors = _fit_zscored(pair, pair.sums(idx), basis=None)
         u, v, _ = align_reflections(u_obs, u, v)
         s = s[..., None, :]
         return u * s, v * s, [e is not None for e in errors]

@@ -15,19 +15,20 @@ Each LV's distribution over splits is summarized as z = mean / sd. The z is
 a heuristic: narrow distributions with a non-zero mean score high. Null
 calibration repeats both assessments after permuting Y rows once per
 iteration, which shows what z values to expect when no cross-block
-structure exists. The block pair is prepared once per call, and partitions
-are evaluated in stacks: the first halves' moments are gathered at once,
-the second halves' are the whole sample's minus the first halves' (Chan,
-Golub & LeVeque 1983), and both halves are decomposed by one batched SVD.
+structure exists. A call evaluates its partitions in stacks from one
+prepared block pair, its own or one its caller shares: the first halves'
+moments are gathered at once, the second halves' are the whole sample's
+minus the first halves' (Chan, Golub & LeVeque 1983). Every half is checked,
+but only what a report reads is computed: train/test decomposes no test
+half, and split-half forms no z-basis matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DataBlock, prepare_pair
-from .decomposition import CCA, _fit_zscored, check_method
-from .errors import ObservationMismatch
+from .blocks import DataBlock, PreparedPair
+from .decomposition import _fit_zscored, _pair_for, check_method
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
@@ -78,15 +79,17 @@ def _half_indices(perm: np.ndarray):
     return perm[..., :cut], perm[..., cut:]
 
 
-def _split_stack(pair, full, draws):
-    """Fit both halves of a stack of draws; ``full`` is ``pair.sums()``.
+def _split_stack(pair, full, draws, reports):
+    """Fit the halves of a stack of draws for ``reports`` (report types);
+    ``full`` is ``pair.sums()``.
 
     A draw is a partition, one row of a (b, n) stack, or, in a (b, 2, n)
     stack, a reordering of Y followed by the partition. Returns, per draw,
-    (train/test diagonal, |diag(U1.T U2)|, |diag(V1.T V2)|), the first half
-    training, or the error of the first failing step in the order train X,
-    train Y, test X, test Y (constant columns before the rank guard within
-    a half).
+    the columns of ``reports`` in order (TrainTestReport's train/test
+    diagonal; SplitHalfReport's |diag(U1.T U2)|, |diag(V1.T V2)|), the first
+    half training, or the error of the first failing step in the order
+    train X, train Y, test X, test Y (constant columns before the rank guard
+    within a half).
     """
     null = draws.ndim == 3
     halves = _half_indices(draws[:, 1] if null else draws)
@@ -95,52 +98,55 @@ def _split_stack(pair, full, draws):
     else:
         first = pair.sums(halves[0])
         sums = [first, full - first]
-    u, _, v, m, errors = _fit_zscored(pair, np.stack(sums))
-    diag = np.einsum("...ij,...ik,...kj->...j", u[0], m[1], v[0])
-    u_cos = np.abs(np.einsum("...ij,...ij->...j", u[0], u[1]))
-    v_cos = np.abs(np.einsum("...ij,...ij->...j", v[0], v[1]))
+    diagonal, cosines = TrainTestReport in reports, SplitHalfReport in reports
+    u, _, v, m, errors = _fit_zscored(pair, np.stack(sums), fit=... if cosines else slice(1),
+                                      basis=slice(1, 2) if diagonal else None)
+    columns = [np.einsum("...ij,...ik,...kj->...j", u[0], m[0], v[0])] if diagonal else []
+    if cosines:
+        columns += [np.abs(np.einsum("...ij,...ij->...j", w[0], w[1])) for w in (u, v)]
     b = len(draws)
-    return [e1 or e2 or (diag[i], u_cos[i], v_cos[i])
+    return [e1 or e2 or tuple(c[i] for c in columns)
             for i, (e1, e2) in enumerate(zip(errors[:b], errors[b:]))]
 
 
 def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,
-                   purpose: str, threads: int, null: bool = False):
-    """Both reproducibility reports of one batch of partitions.
+                   purpose: str, threads: int, pair, reports, null: bool = False):
+    """The ``reports`` (a tuple of report types) of one batch of partitions.
 
     Draw i is the i-th array of row permutations from the (seed, purpose)
     generator: the partition, preceded under ``null`` by a reordering of Y.
-    The pair is prepared once and each stack of draws is evaluated from its
-    moments at once; a split failing the rank guard or hitting a constant
-    column counts in ``n_failed``. Returns (TrainTestReport,
-    SplitHalfReport); when every split fails, the first split's own error
-    is raised, so the message names the block and the cause.
+    Each stack of draws is evaluated at once from the moments of the pair
+    (``pair``, checked, or one prepared here); a split failing the rank
+    guard or hitting a constant column counts in ``n_failed``. Returns the
+    reports in the order asked; when every split fails, the first split's
+    own error is raised, so the message names the block and the cause.
     """
-    if x.n != y.n:
-        raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
+    pair = _pair_for(x, y, method, pair)
     if x.n < 4:
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 1:
         raise ValueError("n_split must be at least 1")
-    pair = prepare_pair(x, y, whiten=method == CCA)
     full = pair.sums()
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)
-    outcomes = map_draws(lambda _, d: _split_stack(pair, full, d),
+    outcomes = map_draws(lambda _, d: _split_stack(pair, full, d, reports),
                          lambda k: permutation_rows(batch, (k, *shape)), n_split,
                          x.n * pair.data.shape[1], threads)
     done = [o for o in outcomes if not isinstance(o, Exception)]
     if not done:
         raise outcomes[0]
-    s_test, u_cos, v_cos = (np.stack(column) for column in zip(*done))
+    columns = iter([np.stack(column) for column in zip(*done)])
     n_failed = n_split - len(done)
-    (z, degenerate), (z_u, degenerate_u), (z_v, degenerate_v) = map(
-        _distribution_z, (s_test, u_cos, v_cos))
-    return (TrainTestReport(s_test_draws=s_test, z=z, degenerate=degenerate,
-                            n_split=n_split, n_failed=n_failed),
-            SplitHalfReport(u_cosine_draws=u_cos, v_cosine_draws=v_cos, z_u=z_u, z_v=z_v,
-                            degenerate_u=degenerate_u, degenerate_v=degenerate_v,
-                            n_split=n_split, n_failed=n_failed))
+    out = []
+    if TrainTestReport in reports:
+        s_test = next(columns)
+        out.append(TrainTestReport(s_test, *_distribution_z(s_test), n_split, n_failed))
+    if SplitHalfReport in reports:
+        u_cos, v_cos = columns
+        (z_u, degenerate_u), (z_v, degenerate_v) = map(_distribution_z, (u_cos, v_cos))
+        out.append(SplitHalfReport(u_cos, v_cos, z_u, z_v, degenerate_u, degenerate_v,
+                                   n_split, n_failed))
+    return out
 
 
 def train_test(
@@ -150,6 +156,7 @@ def train_test(
     n_split: int = 500,
     seed: int = 0,
     threads: int = 1,
+    pair: PreparedPair | None = None,
 ) -> TrainTestReport:
     """Train/test assessment of the singular values over random splits.
 
@@ -158,10 +165,12 @@ def train_test(
     the test half's cross-block matrix through the training vectors. For
     CCA both halves must pass the rank guard; a failing split is recorded
     and skipped, and only if every split fails does the call raise the
-    first split's RankDeficient or ConstantColumn.
+    first split's RankDeficient or ConstantColumn. ``pair`` is an optional
+    shared ``prepare_pair(x, y, whiten=method == CCA)``, checked, never changed.
     """
     method = check_method(method)
-    return _split_reports(x, y, method, n_split, seed, "train-test", threads)[0]
+    return _split_reports(x, y, method, n_split, seed, "train-test", threads, pair,
+                          (TrainTestReport,))[0]
 
 
 def split_half(
@@ -171,15 +180,18 @@ def split_half(
     n_split: int = 500,
     seed: int = 0,
     threads: int = 1,
+    pair: PreparedPair | None = None,
 ) -> SplitHalfReport:
     """Similarity of singular vectors fitted on disjoint half-samples.
 
     Iteration i partitions the rows by the i-th permutation drawn from the
     (seed, "split-half") generator and records |diag(U1.T U2)| and
-    |diag(V1.T V2)|. Failed splits are handled as in ``train_test``.
+    |diag(V1.T V2)|. Failed splits and ``pair`` are handled as in
+    ``train_test``.
     """
     method = check_method(method)
-    return _split_reports(x, y, method, n_split, seed, "split-half", threads)[1]
+    return _split_reports(x, y, method, n_split, seed, "split-half", threads, pair,
+                          (SplitHalfReport,))[0]
 
 
 def null_calibration(
@@ -189,6 +201,7 @@ def null_calibration(
     n_split: int = 500,
     seed: int = 0,
     threads: int = 1,
+    pair: PreparedPair | None = None,
 ) -> tuple[TrainTestReport, SplitHalfReport]:
     """Null distributions of both reproducibility metrics.
 
@@ -198,7 +211,9 @@ def null_calibration(
     Draw i is the i-th pair of permutations from the (seed,
     "null-calibration") generator: the first reorders Y, the second is the
     partition. Comparing these reports against the unpermuted ones shows
-    how much of an observed z score mere dimensionality produces.
+    how much of an observed z score mere dimensionality produces. ``pair``
+    is as in ``train_test``.
     """
     method = check_method(method)
-    return _split_reports(x, y, method, n_split, seed, "null-calibration", threads, null=True)
+    return tuple(_split_reports(x, y, method, n_split, seed, "null-calibration", threads, pair,
+                                (TrainTestReport, SplitHalfReport), null=True))

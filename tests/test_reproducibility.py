@@ -8,13 +8,14 @@ from crossblock import (
     generate_null,
     generate_relevant_subspace,
     null_calibration,
+    reproducibility,
     split_half,
     train_test,
 )
 from crossblock.blocks import prepare_pair
 from crossblock.decomposition import CCA, PLS
 from crossblock.errors import ConstantColumn, RankDeficient
-from crossblock.reproducibility import _half_indices, _split_stack
+from crossblock.reproducibility import TrainTestReport, _half_indices, _split_stack
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -48,7 +49,7 @@ class TestTrainTest:
         yv = np.vstack([base_y, base_y])
         # the identity partition: the first copy trains, the second tests
         pair = prepare_pair(DataBlock(xv, ("a", "b", "c")), DataBlock(yv, ("p", "q")))
-        [(diag, _, _)] = _split_stack(pair, pair.sums(), np.arange(80)[None])
+        [(diag,)] = _split_stack(pair, pair.sums(), np.arange(80)[None], (TrainTestReport,))
         from crossblock import correlation_bundle, fit_pls
 
         b = correlation_bundle(
@@ -109,6 +110,68 @@ class TestAllSplitsFailed:
         yv = np.column_stack([y.values[:, 0], np.full(40, 3.0)])
         with pytest.raises(ConstantColumn, match="'flat'"):
             fn(x, DataBlock(yv, ("a", "flat")), PLS, n_split=5, seed=1)
+
+
+class TestTestHalfFailures:
+    """A split whose test half alone fails still fails. The halves are fixed
+    here: the identity partition trains on rows 0-39 and tests on 40-79,
+    where the broken columns are; a shuffled partition mixes the rows."""
+
+    @staticmethod
+    def blocks(x_broken, y_broken, collinear=False):
+        """80-row blocks; a broken column is constant on the rows it names
+        or, under ``collinear``, Y's column y1 is 2 y0 + 1 there."""
+        x, y = gaussian_blocks(22, 80, 3, 3)
+        xv, yv = x.values.copy(), y.values.copy()
+        if x_broken is not None:
+            xv[x_broken, 2] = 3.0
+        if y_broken is not None:
+            yv[y_broken, 1] = 2.0 * yv[y_broken, 0] + 1.0 if collinear else 3.0
+        return DataBlock(xv, x.labels), DataBlock(yv, y.labels)
+
+    @staticmethod
+    def rig(monkeypatch, shuffled):
+        """Make the split batch draw the identity partition, except at the
+        indices in ``shuffled``, which draw one fixed shuffled partition."""
+        mixed = np.random.default_rng(0).permutation(80)
+        taken = []
+
+        def draws(_, shape):
+            rows = [mixed if len(taken) + j in shuffled else np.arange(80)
+                    for j in range(shape[0])]
+            taken.extend(rows)
+            return np.stack([np.stack([np.arange(80), r]) if len(shape) == 3 else r
+                             for r in rows])
+
+        monkeypatch.setattr(reproducibility, "permutation_rows", draws)
+
+    TEST, TRAIN = slice(40, 80), slice(0, 40)
+    CASES = {
+        "test y constant": (PLS, None, TEST, False, ConstantColumn, "y1"),
+        "test y collinear": (CCA, None, TEST, True, RankDeficient, "y"),
+        "test x before test y": (PLS, TEST, TEST, False, ConstantColumn, "x2"),
+        "train y before test x": (PLS, TEST, TRAIN, False, ConstantColumn, "y1"),
+    }
+
+    @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counted_in_n_failed(self, monkeypatch, fn, case):
+        method, x_broken, y_broken, collinear, _, _ = self.CASES[case]
+        self.rig(monkeypatch, shuffled={1, 2})
+        reports = fn(*self.blocks(x_broken, y_broken, collinear), method, n_split=4, seed=1)
+        for report in reports if isinstance(reports, tuple) else (reports,):
+            draws = (report.s_test_draws if isinstance(report, TrainTestReport)
+                     else report.u_cosine_draws)
+            assert (report.n_split, report.n_failed, len(draws)) == (4, 2, 2)
+
+    @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_split_failing_raises_in_order(self, monkeypatch, fn, case):
+        method, x_broken, y_broken, collinear, error, name = self.CASES[case]
+        self.rig(monkeypatch, shuffled=set())
+        with pytest.raises(error) as err:
+            fn(*self.blocks(x_broken, y_broken, collinear), method, n_split=3, seed=1)
+        assert (err.value.block if error is RankDeficient else err.value.label) == name
 
 
 class TestSplitHalf:
