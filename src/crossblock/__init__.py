@@ -8,9 +8,7 @@ from .blocks import (
     DataBlock,
     RANK_REL_TOL,
     correlation_bundle,
-    effective_rank,
     inverse_sqrt_sym,
-    zscore_columns,
 )
 from .datagen import (
     GeneratedDataset,
@@ -18,20 +16,15 @@ from .datagen import (
     SimulationSpec,
     generate_null,
     generate_relevant_subspace,
-    population_canonical_correlations,
     population_r2,
 )
 from .decomposition import (
     CCA,
-    CanonicalCoefficients,
     CrossBlockModel,
     PLS,
     align_reflections,
-    canonical_coefficients,
-    cosine_matrix,
     fit_cca,
     fit_pls,
-    scale_vectors,
 )
 from .harness import (
     ExperimentConfig,

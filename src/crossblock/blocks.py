@@ -148,14 +148,6 @@ def _zscored(values: np.ndarray, labels=None) -> np.ndarray:
     return unwrap(_constant_errors(constant, labels)[0] or z)
 
 
-def zscore_columns(block: DataBlock) -> DataBlock:
-    """Return a copy of the block with zero-mean, unit-sd columns.
-
-    Raises ConstantColumn if any column's sample sd is below 1e-12.
-    """
-    return DataBlock(_zscored(block.values, block.labels), block.labels)
-
-
 def _inverse_roots(m: np.ndarray, block: str = ""):
     """Symmetric inverse square root of a symmetric matrix and None, or, when
     the rank guard fails, the identity and the RankDeficient naming ``block``;
@@ -184,15 +176,6 @@ def inverse_sqrt_sym(m: np.ndarray) -> np.ndarray:
     if error is not None:
         raise NotPositiveDefinite(error.eigenvalue)
     return a
-
-
-def effective_rank(m: np.ndarray) -> int:
-    """Number of eigenvalues of a symmetric matrix above the relative tolerance."""
-    w = np.linalg.eigvalsh(np.asarray(m, dtype=np.float64))
-    largest = w[-1]
-    if largest <= 0:
-        return 0
-    return int(np.count_nonzero(w > RANK_REL_TOL * largest))
 
 
 def _within_correlation(z: np.ndarray) -> np.ndarray:

@@ -249,13 +249,3 @@ def population_r2(truth: PopulationTruth) -> np.ndarray:
         )
     return out
 
-
-def population_canonical_correlations(truth: PopulationTruth) -> np.ndarray:
-    """Non-zero population canonical correlations, sorted descending.
-
-    Because the relevant-direction groups are disjoint and each component
-    uses a distinct informative Y direction, the whitened latent
-    cross-covariance has orthogonal columns and the canonical correlations
-    are exactly the square roots of the per-component R-squared values.
-    """
-    return np.sort(np.sqrt(population_r2(truth)))[::-1]

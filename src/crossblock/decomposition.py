@@ -25,10 +25,9 @@ from .blocks import (
     PreparedPair,
     _constant_errors,
     _parts,
-    inverse_sqrt_sym,
     prepare_pair,
 )
-from .errors import MethodMismatch, MissingOmega, RankDeficient, ShapeMismatch
+from .errors import MissingOmega, RankDeficient, ShapeMismatch
 
 PLS = "pls"
 CCA = "cca"
@@ -86,31 +85,6 @@ class CrossBlockModel:
         return self.s.shape[0]
 
 
-@dataclass(frozen=True)
-class CanonicalCoefficients:
-    """Standardized canonical weights and structure coefficients.
-
-    Weights adjust each variable for its within-block correlations; structure
-    coefficients are the zero-order correlations of each variable with the
-    canonical variate, obtained by rescaling the weights by the within-block
-    correlation matrix.
-    """
-
-    weights_x: np.ndarray
-    structure_x: np.ndarray
-    weights_y: np.ndarray
-    structure_y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("weights_x", "structure_x", "weights_y", "structure_y"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        for name in ("structure_x", "structure_y"):
-            if np.abs(getattr(self, name)).max() > 1.0 + 1e-8:
-                raise ValueError(f"{name} has entries outside the correlation range")
-
-
 def _oriented(u, s, v):
     """Orient each LV of one fit or a stack so that its largest-|entry| U
     weight is positive, flipping the paired V column with it."""
@@ -147,32 +121,6 @@ def fit_cca(bundle: CorrelationBundle) -> CrossBlockModel:
     return CrossBlockModel(method=CCA, u=u, s=s, v=v)
 
 
-def canonical_coefficients(bundle: CorrelationBundle, model: CrossBlockModel) -> CanonicalCoefficients:
-    """Canonical weights and structure coefficients for a CCA model."""
-    if model.method != CCA:
-        raise MethodMismatch("canonical coefficients are defined for CCA models only")
-    ax = inverse_sqrt_sym(bundle.rxx)
-    by = inverse_sqrt_sym(bundle.ryy)
-    weights_x = ax @ model.u
-    weights_y = by @ model.v
-    return CanonicalCoefficients(
-        weights_x=weights_x,
-        structure_x=bundle.rxx @ weights_x,
-        weights_y=weights_y,
-        structure_y=bundle.ryy @ weights_y,
-    )
-
-
-def scale_vectors(model: CrossBlockModel) -> tuple[np.ndarray, np.ndarray]:
-    """U and V with each LV column multiplied by its singular value.
-
-    Scaling expresses each variable's weight in terms of the cross-block
-    variance the LV accounts for, which is the quantity the bootstrap
-    interval estimation works on.
-    """
-    return model.u * model.s, model.v * model.s
-
-
 def align_reflections(reference: np.ndarray, candidate: np.ndarray, paired: np.ndarray):
     """Flip candidate columns whose cosine with the reference column is negative.
 
@@ -197,15 +145,6 @@ def align_reflections(reference: np.ndarray, candidate: np.ndarray, paired: np.n
     flips = np.einsum("ij,...ij->...j", reference, candidate) < 0
     signs = np.where(flips, -1.0, 1.0)[..., None, :]
     return candidate * signs, paired * signs, flips
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosines between the columns of two orthonormal matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"column dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    return a.T @ b
 
 
 def _gram_factor(g: np.ndarray) -> np.ndarray:

@@ -96,9 +96,11 @@ class ExperimentConfig:
             raise ValueError("sample_sizes must list at least one size, each at least 2")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        for name in ("n_iterations", "n_perm", "n_split"):
+        for name in ("n_iterations", "n_perm"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.n_split < 2:
+            raise ValueError("n_split (--splits) must be at least 2 for a z score")
         if self.n_boot < MIN_BOOTSTRAPS:
             raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
         if not self.methods:
@@ -120,11 +122,11 @@ class MethodFullSample:
     method: str
     status: str
     reason: str | None
-    permutation: PermutationResult | None
-    bootstrap: BootstrapResult | None
-    bartlett: BartlettResult | None
-    train_test_report: TrainTestReport | None
-    split_half_report: SplitHalfReport | None
+    permutation: PermutationResult | None = None
+    bootstrap: BootstrapResult | None = None
+    bartlett: BartlettResult | None = None
+    train_test_report: TrainTestReport | None = None
+    split_half_report: SplitHalfReport | None = None
 
 
 @dataclass(frozen=True)
@@ -246,13 +248,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
             except RankDeficient as exc:
                 reason = str(exc)
         if reason is not None:
-            entries.append(
-                MethodFullSample(
-                    method=method, status=NOT_RUN, reason=reason,
-                    permutation=None, bootstrap=None, bartlett=None,
-                    train_test_report=None, split_half_report=None,
-                )
-            )
+            entries.append(MethodFullSample(method=method, status=NOT_RUN, reason=reason))
             continue
         perm = permutation_test(
             x_used, y, method, n_perm=config.n_perm,

@@ -165,6 +165,8 @@ def pca_stability(
     the random orientation; without it the signed cosines show how badly
     uncorrected reflections corrupt the average.
     """
+    if n_iter < 2:
+        raise ValueError("n_iter (--iterations) must be at least 2 for a z score")
     pop = fit_pca(population)
     n = population.n
     if n_pc < 1 or n_pc > pop.k:

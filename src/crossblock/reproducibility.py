@@ -79,17 +79,18 @@ def _half_indices(perm: np.ndarray):
     return perm[..., :cut], perm[..., cut:]
 
 
-def _split_stack(pair, full, draws, reports):
+def _split_stack(pair, full, start, draws, reports, out):
     """Fit the halves of a stack of draws for ``reports`` (report types);
     ``full`` is ``pair.sums()``.
 
     A draw is a partition, one row of a (b, n) stack, or, in a (b, 2, n)
-    stack, a reordering of Y followed by the partition. Returns, per draw,
-    the columns of ``reports`` in order (TrainTestReport's train/test
-    diagonal; SplitHalfReport's |diag(U1.T U2)|, |diag(V1.T V2)|), the first
-    half training, or the error of the first failing step in the order
-    train X, train Y, test X, test Y (constant columns before the rank guard
-    within a half).
+    stack, a reordering of Y followed by the partition. Writes the columns
+    of ``reports`` in order (TrainTestReport's train/test diagonal;
+    SplitHalfReport's |diag(U1.T U2)|, |diag(V1.T V2)|), the first half
+    training, into ``out[:, start:start + b]``. Returns, per draw, None or
+    the error of the first failing step in the order train X, train Y, test
+    X, test Y (constant columns before the rank guard within a half); a
+    failed draw's entries of ``out`` are not meaningful.
     """
     null = draws.ndim == 3
     halves = _half_indices(draws[:, 1] if null else draws)
@@ -101,12 +102,14 @@ def _split_stack(pair, full, draws, reports):
     diagonal, cosines = TrainTestReport in reports, SplitHalfReport in reports
     u, _, v, m, errors = _fit_zscored(pair, np.stack(sums), fit=... if cosines else slice(1),
                                       basis=slice(1, 2) if diagonal else None)
-    columns = [np.einsum("...ij,...ik,...kj->...j", u[0], m[0], v[0])] if diagonal else []
-    if cosines:
-        columns += [np.abs(np.einsum("...ij,...ij->...j", w[0], w[1])) for w in (u, v)]
     b = len(draws)
-    return [e1 or e2 or tuple(c[i] for c in columns)
-            for i, (e1, e2) in enumerate(zip(errors[:b], errors[b:]))]
+    columns = iter(out[:, start : start + b])
+    if diagonal:
+        np.einsum("...ij,...ik,...kj->...j", u[0], m[0], v[0], out=next(columns))
+    if cosines:
+        for w in (u, v):
+            np.abs(np.einsum("...ij,...ij->...j", w[0], w[1]), out=next(columns))
+    return [e1 or e2 for e1, e2 in zip(errors[:b], errors[b:])]
 
 
 def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,
@@ -124,19 +127,21 @@ def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: 
     pair = _pair_for(x, y, method, pair)
     if x.n < 4:
         raise ValueError("need at least 4 rows to form two halves of 2")
-    if n_split < 1:
-        raise ValueError("n_split must be at least 1")
+    if n_split < 2:
+        raise ValueError("n_split (--splits) must be at least 2 for a z score")
     full = pair.sums()
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)
-    outcomes = map_draws(lambda _, d: _split_stack(pair, full, d, reports),
-                         lambda k: permutation_rows(batch, (k, *shape)), n_split,
-                         x.n * pair.data.shape[1], threads)
-    done = [o for o in outcomes if not isinstance(o, Exception)]
-    if not done:
-        raise outcomes[0]
-    columns = iter([np.stack(column) for column in zip(*done)])
-    n_failed = n_split - len(done)
+    values = np.empty(((TrainTestReport in reports) + 2 * (SplitHalfReport in reports),
+                       n_split, min(x.k, y.k)))
+    errors = map_draws(lambda start, d: _split_stack(pair, full, start, d, reports, values),
+                       lambda k: permutation_rows(batch, (k, *shape)), n_split,
+                       x.n * pair.data.shape[1], threads)
+    done = np.array([e is None for e in errors])
+    if not done.any():
+        raise errors[0]
+    columns = iter(values[:, done])
+    n_failed = n_split - int(done.sum())
     out = []
     if TrainTestReport in reports:
         s_test = next(columns)

@@ -7,7 +7,6 @@ from crossblock import (
     correlation_bundle,
     generate_null,
     generate_relevant_subspace,
-    population_canonical_correlations,
     population_r2,
 )
 from crossblock.errors import InfeasibleR2
@@ -117,12 +116,6 @@ class TestGenerateRelevantSubspace:
             spec = random_spec(rng)
             ds = generate_relevant_subspace(spec)
             assert np.abs(population_r2(ds.truth) - np.array(spec.r2)).max() < 1e-12
-
-    def test_population_canonical_correlations(self):
-        spec = table9_spec(n=100, seed=8)
-        ds = generate_relevant_subspace(spec)
-        rho = population_canonical_correlations(ds.truth)
-        assert_allclose(rho, [np.sqrt(0.2), np.sqrt(0.1)], atol=1e-14)
 
     def test_joint_covariance_positive_definite(self):
         rng = np.random.default_rng(1)

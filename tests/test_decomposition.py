@@ -5,16 +5,12 @@ from numpy.testing import assert_allclose
 from crossblock import (
     DataBlock,
     align_reflections,
-    canonical_coefficients,
     correlation_bundle,
-    cosine_matrix,
     fit_cca,
     fit_pls,
-    scale_vectors,
 )
 from crossblock.blocks import CorrelationBundle
-from crossblock.decomposition import PLS, CrossBlockModel
-from crossblock.errors import MethodMismatch, MissingOmega, ShapeMismatch
+from crossblock.errors import MissingOmega, ShapeMismatch
 
 from oracles import brute_pearson, grid_max_canonical_correlation, random_invertible
 
@@ -134,93 +130,7 @@ class TestFitCca:
         assert np.all(m.s <= 1.0 + 1e-10)
 
 
-class TestCanonicalCoefficients:
-    def test_identity_within_block(self):
-        x, y = gaussian_blocks(12, 400, 3, 2)
-        from crossblock import component_scores, fit_pca
-
-        sx = component_scores(x, fit_pca(x), 3)
-        sy = component_scores(y, fit_pca(y), 2)
-        b = correlation_bundle(sx, sy, with_omega=True)
-        model = fit_cca(b)
-        coef = canonical_coefficients(b, model)
-        assert np.abs(coef.weights_x - model.u).max() < 1e-8
-        assert np.abs(coef.structure_x - model.u).max() < 1e-8
-
-    def test_single_variable_structure_is_unit(self):
-        rng = np.random.default_rng(2)
-        xv = rng.normal(size=80)
-        yv = 0.5 * xv + rng.normal(size=80)
-        b = correlation_bundle(
-            DataBlock(xv[:, None], ("x",)), DataBlock(yv[:, None], ("y",)),
-            with_omega=True,
-        )
-        coef = canonical_coefficients(b, fit_cca(b))
-        assert_allclose(abs(coef.structure_x[0, 0]), 1.0, atol=1e-10)
-
-    def test_method_mismatch(self):
-        x, y = gaussian_blocks(3, 40, 3, 2)
-        b = correlation_bundle(x, y, with_omega=True)
-        with pytest.raises(MethodMismatch):
-            canonical_coefficients(b, fit_pls(b))
-
-    def test_structure_tracks_pls_under_high_within_block_correlation(self):
-        # correlated X indicators with alternating valence; structure
-        # coefficients should resemble PLS weights more than the adjusted
-        # canonical weights do
-        rng = np.random.default_rng(14)
-        n = 3000
-        factor = rng.normal(size=n)
-        signs = np.array([1, -1, 1, -1, 1, -1], dtype=float)
-        x_vals = signs * (0.8 * factor[:, None]) + 0.7 * rng.normal(size=(n, 6))
-        y_base = 0.6 * factor[:, None] + 0.9 * rng.normal(size=(n, 1))
-        y_vals = np.column_stack([
-            y_base[:, 0],
-            0.7 * y_base[:, 0] + 0.7 * rng.normal(size=n),
-            rng.normal(size=n),
-        ])
-        x = DataBlock(x_vals, tuple(f"x{i}" for i in range(6)))
-        y = DataBlock(y_vals, ("y1", "y2", "y3"))
-        b = correlation_bundle(x, y, with_omega=True)
-        assert np.abs(b.rxx - np.eye(6)).max() > 0.4
-        cca_model = fit_cca(b)
-        pls_model = fit_pls(b)
-        coef = canonical_coefficients(b, cca_model)
-
-        def cos(a, c):
-            return abs(a @ c) / (np.linalg.norm(a) * np.linalg.norm(c))
-
-        pls_u1 = pls_model.u[:, 0]
-        assert cos(coef.structure_x[:, 0], pls_u1) > cos(coef.weights_x[:, 0], pls_u1)
-
-    def test_structure_bound(self):
-        x, y = gaussian_blocks(31, 100, 5, 3)
-        b = correlation_bundle(x, y, with_omega=True)
-        coef = canonical_coefficients(b, fit_cca(b))
-        assert np.abs(coef.structure_x).max() <= 1 + 1e-8
-        assert np.abs(coef.structure_y).max() <= 1 + 1e-8
-
-
 class TestScaleAndAlign:
-    def test_scale_identity_singular_values(self):
-        u = np.eye(2)
-        m = CrossBlockModel(method=PLS, u=u, s=np.array([1.0, 1.0]), v=u.copy())
-        us, vs = scale_vectors(m)
-        assert_allclose(us, u)
-        assert_allclose(vs, u)
-
-    def test_scale_zero(self):
-        u = np.eye(2)
-        m = CrossBlockModel(method=PLS, u=u, s=np.array([0.0, 0.0]), v=u.copy())
-        us, vs = scale_vectors(m)
-        assert_allclose(us, 0.0)
-
-    def test_scale_arithmetic(self):
-        u = np.array([[0.6], [0.8]])
-        m = CrossBlockModel(method=PLS, u=u, s=np.array([0.5]), v=np.array([[1.0]]))
-        us, _ = scale_vectors(m)
-        assert_allclose(us, [[0.3], [0.4]], atol=1e-15)
-
     def test_align_no_flips(self):
         ref = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 3)))[0]
         cand, paired, flips = align_reflections(ref, ref.copy(), np.eye(3))
@@ -258,22 +168,3 @@ class TestScaleAndAlign:
     def test_align_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             align_reflections(np.eye(3), np.eye(4), np.eye(4))
-
-
-class TestCosineMatrix:
-    def test_self_is_identity(self):
-        q = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 3)))[0]
-        assert_allclose(cosine_matrix(q, q), np.eye(3), atol=1e-12)
-
-    def test_orthogonal_columns(self):
-        assert_allclose(cosine_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:]), 0.0)
-
-    def test_rotation_angle(self):
-        t = np.deg2rad(30)
-        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        out = cosine_matrix(np.eye(2), rot)
-        assert_allclose(np.diag(out), np.cos(t), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            cosine_matrix(np.eye(3), np.eye(4))

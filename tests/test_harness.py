@@ -38,6 +38,12 @@ class TestConfig:
             ExperimentConfig(n_boot=n_boot)
         assert ExperimentConfig(n_boot=100).n_boot == 100
 
+    @pytest.mark.parametrize("n_split", [0, 1])
+    def test_rejects_fewer_than_two_splits(self, n_split):
+        with pytest.raises(ValueError, match=r"n_split \(--splits\) must be at least 2"):
+            ExperimentConfig(n_split=n_split)
+        assert ExperimentConfig(n_split=2).n_split == 2
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=1.5)

@@ -481,6 +481,38 @@ class TestCli:
                         "--iterations", "3", *flag, "--out-dir", str(tmp_path / "out")) == 2
         assert "--pca-components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("splits", ["0", "1"])
+    @pytest.mark.parametrize("command", ["fit", "reproduce"])
+    def test_fewer_than_two_splits_exit_2_naming_the_flag(self, tmp_path, capsys, command,
+                                                           splits):
+        # a z score divides by the spread of the splits, which one split lacks
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "3", "--q", "2",
+                 "--seed", "1", "--out-dir", str(data))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run(command, "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                            "--splits", splits, "--out-dir", str(out)) == 2
+        assert "n_split (--splits) must be at least 2 for a z score" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iterations", ["0", "1"])
+    def test_pca_stability_needs_two_iterations(self, tmp_path, capsys, iterations):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("pca", "stability", "--x", str(data / "x.csv"),
+                            "--sample-sizes", "30", "--iterations", iterations,
+                            "--out-dir", str(out)) == 2
+        assert "n_iter (--iterations) must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "two"])
     def test_unparsable_pca_components_exits_2_naming_the_flag(self, tmp_path, capsys, value):
         data = tmp_path / "d"

@@ -191,6 +191,12 @@ class TestPcaStability:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.z, b.z)
 
+    @pytest.mark.parametrize("n_iter", [0, 1])
+    def test_refuses_fewer_than_two_iterations(self, n_iter):
+        x = flat_spectrum_block(100, seed=18)
+        with pytest.raises(ValueError, match=r"n_iter \(--iterations\) must be at least 2"):
+            pca_stability(x, sample_sizes=(50,), n_iter=n_iter, n_pc=2, seed=1)
+
     def test_validates_sizes(self):
         x = flat_spectrum_block(100, seed=18)
         with pytest.raises(ValueError):

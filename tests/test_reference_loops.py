@@ -18,6 +18,8 @@ with a constant column or a collinear X pair, and blocks on which every
 split fails.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from crossblock import (
     split_half,
     train_test,
 )
+from crossblock import parallel
 from crossblock.decomposition import CCA, METHODS, PLS
 from crossblock.errors import ConstantColumn, RankDeficient
 from crossblock.rng import substream
@@ -266,36 +269,59 @@ def check_splits(reference, n_split, draws, failed, method):
     return done
 
 
+# (draw budget, threads): the default stacks, then one draw per stack, run
+# alone or two at once, so failed and completed splits land in different stacks.
+LAYOUTS = ((parallel._DRAW_CHUNK_ELEMENTS, 1), (1, 1), (1, 2))
+
+
+def in_every_layout(monkeypatch, run):
+    """run(threads) under each of LAYOUTS; every field of every layout's
+    reports must equal the first layout's bit for bit. Yields the reports."""
+    first = None
+    for budget, threads in LAYOUTS:
+        monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", budget)
+        reports = run(threads)
+        values = [getattr(r, f.name) for r in reports for f in dataclasses.fields(r)]
+        if first is None:
+            first = values
+        for a, b in zip(first, values):
+            same(a, b)
+        yield reports
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("data", sorted(DATA))
-def test_train_test(data, method):
+def test_train_test(data, method, monkeypatch):
     x, y = DATA[data]()
-    rep = train_test(x, y, method, n_split=30, seed=10)
     reference = ref_splits(x, y, method, 30, 10, "train-test", null=False)
-    done = check_splits(reference, 30, {0: rep.s_test_draws}, rep.n_failed, method)
-    if data != "signal" and (data == "sparse-column" or method == CCA):
-        assert 0 < len(done) < 30  # some splits fail, some complete
+    for (rep,) in in_every_layout(
+            monkeypatch, lambda t: (train_test(x, y, method, n_split=30, seed=10, threads=t),)):
+        done = check_splits(reference, 30, {0: rep.s_test_draws}, rep.n_failed, method)
+        if data != "signal" and (data == "sparse-column" or method == CCA):
+            assert 0 < len(done) < 30  # some splits fail, some complete
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("data", sorted(DATA))
-def test_split_half(data, method):
+def test_split_half(data, method, monkeypatch):
     x, y = DATA[data]()
-    rep = split_half(x, y, method, n_split=30, seed=11)
     reference = ref_splits(x, y, method, 30, 11, "split-half", null=False)
-    check_splits(reference, 30, {1: rep.u_cosine_draws, 2: rep.v_cosine_draws}, rep.n_failed,
-                 method)
+    for (rep,) in in_every_layout(
+            monkeypatch, lambda t: (split_half(x, y, method, n_split=30, seed=11, threads=t),)):
+        check_splits(reference, 30, {1: rep.u_cosine_draws, 2: rep.v_cosine_draws},
+                     rep.n_failed, method)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("data", sorted(DATA))
-def test_null_calibration(data, method):
+def test_null_calibration(data, method, monkeypatch):
     x, y = DATA[data]()
-    tt, sh = null_calibration(x, y, method, n_split=30, seed=12)
     reference = ref_splits(x, y, method, 30, 12, "null-calibration", null=True)
-    check_splits(reference, 30, {0: tt.s_test_draws}, tt.n_failed, method)
-    check_splits(reference, 30, {1: sh.u_cosine_draws, 2: sh.v_cosine_draws}, sh.n_failed,
-                 method)
+    for tt, sh in in_every_layout(
+            monkeypatch, lambda t: null_calibration(x, y, method, n_split=30, seed=12, threads=t)):
+        check_splits(reference, 30, {0: tt.s_test_draws}, tt.n_failed, method)
+        check_splits(reference, 30, {1: sh.u_cosine_draws, 2: sh.v_cosine_draws}, sh.n_failed,
+                     method)
 
 
 @pytest.mark.parametrize("fn, purpose, null", [

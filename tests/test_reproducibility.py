@@ -49,7 +49,10 @@ class TestTrainTest:
         yv = np.vstack([base_y, base_y])
         # the identity partition: the first copy trains, the second tests
         pair = prepare_pair(DataBlock(xv, ("a", "b", "c")), DataBlock(yv, ("p", "q")))
-        [(diag,)] = _split_stack(pair, pair.sums(), np.arange(80)[None], (TrainTestReport,))
+        out = np.empty((1, 1, 2))
+        assert _split_stack(pair, pair.sums(), 0, np.arange(80)[None], (TrainTestReport,),
+                            out) == [None]
+        diag = out[0, 0]
         from crossblock import correlation_bundle, fit_pls
 
         b = correlation_bundle(
@@ -90,6 +93,14 @@ class TestTrainTest:
         a = train_test(x, y, CCA, n_split=60, seed=2, threads=1)
         b = train_test(x, y, CCA, n_split=60, seed=2, threads=4)
         assert np.array_equal(a.s_test_draws, b.s_test_draws)
+
+
+@pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
+@pytest.mark.parametrize("n_split", [0, 1])
+def test_fewer_than_two_splits_refused(fn, n_split):
+    x, y = gaussian_blocks(22, 40, 3, 2)
+    with pytest.raises(ValueError, match=r"n_split \(--splits\) must be at least 2"):
+        fn(x, y, PLS, n_split=n_split, seed=1)
 
 
 class TestAllSplitsFailed:
