@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 from pathlib import Path
@@ -642,3 +643,151 @@ class TestCli:
         section = json.loads((out / "fit.json").read_text())["sections"]["full_sample"]
         assert section["n_components_used"] == 50
         assert len(section["x_labels"]) == 50
+
+
+# Every subcommand's flags as parsed: option string -> (default, choices, required).
+_OPT, _REQ = (None, None, False), (None, None, True)
+_METHODS, _FORMATS = ("pls", "cca", "both"), ("json", "csv")
+_COMMON_FLAGS = {"--config": _OPT, "--seed": _OPT, "--out-dir": _OPT,
+                 "--format": (None, _FORMATS, False), "--threads": _OPT}
+_ANALYSIS_FLAGS = {**_COMMON_FLAGS, "--x": _REQ, "--y": _REQ,
+                   "--method": (None, _METHODS, False)}
+FLAGS = {
+    "simulate null": {**_COMMON_FLAGS, "--n": (10000, None, False), "--p": (10, None, False),
+                      "--q": (5, None, False)},
+    "simulate subspace": {
+        **_COMMON_FLAGS, "--n": (10000, None, False), "--p": (50, None, False),
+        "--relevant-counts": ((15, 10), None, False),
+        "--relpos": (((1, 2), (3, 4, 6)), None, False), "--gamma": (0.6, None, False),
+        "--m": (4, None, False), "--ypos": (((1, 3), (2, 4)), None, False),
+        "--eta": (0.0, None, False), "--r2": ((0.2, 0.1), None, False),
+    },
+    "fit": {**_ANALYSIS_FLAGS, "--permutations": _OPT, "--bootstraps": _OPT, "--splits": _OPT,
+            "--pca-components": _OPT},
+    "permute": {**_ANALYSIS_FLAGS, "--permutations": _OPT},
+    "bootstrap": {**_ANALYSIS_FLAGS, "--bootstraps": _OPT},
+    "reproduce": {**_ANALYSIS_FLAGS, "--splits": _OPT, "--null-calibrate": (False, None, False)},
+    "sweep": {
+        **_COMMON_FLAGS, "--kind": (None, ("detectability", "fpr", "reproducibility"), True),
+        "--x": _OPT, "--y": _OPT, "--method": (None, _METHODS, False), "--sample-sizes": _OPT,
+        "--iterations": _OPT, "--permutations": _OPT, "--splits": _OPT, "--alpha": _OPT,
+        "--pca-components": _OPT, "--fpr-n": (10000, None, False),
+        "--fpr-p": (10, None, False), "--fpr-q": (5, None, False),
+    },
+    "pca fit": {**_COMMON_FLAGS, "--x": _REQ},
+    "pca scores": {**_COMMON_FLAGS, "--x": _REQ, "--pca-components": _OPT,
+                   "--scores-out": _OPT},
+    "pca stability": {**_COMMON_FLAGS, "--x": _REQ, "--sample-sizes": _OPT,
+                      "--iterations": _OPT, "--pca-components": _OPT,
+                      "--align": (True, None, False), "--no-align": (True, None, False)},
+    "plot-data": {"--config": _OPT, "--out-dir": _OPT, "--report": _REQ,
+                  "--kind": (None, ("detectability-bars", "weight-intervals",
+                                    "eigenspectrum", "z-distributions"), True)},
+}
+
+# One argv per subcommand that sets every flag, and the namespace it parses to.
+_COMMON_ARGV = ("--config", "c.json", "--seed", "7", "--out-dir", "o", "--format", "csv",
+                "--threads", "2")
+_COMMON_VARS = {"config": "c.json", "seed": 7, "out_dir": "o", "format": "csv", "threads": 2}
+_XY_ARGV = ("--x", "x.csv", "--y", "y.csv")
+PARSED = {
+    "simulate null": (
+        ("simulate", "null", "--n", "50", "--p", "3", "--q", "2"),
+        {"command": "simulate", "generator": "null", "n": 50, "p": 3, "q": 2},
+    ),
+    "simulate subspace": (
+        ("simulate", "subspace", "--n", "60", "--p", "8", "--relevant-counts", "3,2",
+         "--relpos", "1,2;3", "--gamma", "0.5", "--m", "3", "--ypos", "1;2,3", "--eta", "0.1",
+         "--r2", "0.3,0.2"),
+        {"command": "simulate", "generator": "subspace", "n": 60, "p": 8,
+         "relevant_counts": (3, 2), "relpos": ((1, 2), (3,)), "gamma": 0.5, "m": 3,
+         "ypos": ((1,), (2, 3)), "eta": 0.1, "r2": (0.3, 0.2)},
+    ),
+    "fit": (
+        ("fit", *_XY_ARGV, "--method", "cca", "--permutations", "11", "--bootstraps", "120",
+         "--splits", "9", "--pca-components", "auto"),
+        {"command": "fit", "x": "x.csv", "y": "y.csv", "method": "cca", "permutations": 11,
+         "bootstraps": 120, "splits": 9, "pca_components": "auto"},
+    ),
+    "permute": (
+        ("permute", *_XY_ARGV, "--method", "pls", "--permutations", "11"),
+        {"command": "permute", "x": "x.csv", "y": "y.csv", "method": "pls",
+         "permutations": 11},
+    ),
+    "bootstrap": (
+        ("bootstrap", *_XY_ARGV, "--method", "both", "--bootstraps", "120"),
+        {"command": "bootstrap", "x": "x.csv", "y": "y.csv", "method": "both",
+         "bootstraps": 120},
+    ),
+    "reproduce": (
+        ("reproduce", *_XY_ARGV, "--method", "cca", "--splits", "9", "--null-calibrate"),
+        {"command": "reproduce", "x": "x.csv", "y": "y.csv", "method": "cca", "splits": 9,
+         "null_calibrate": True},
+    ),
+    "sweep": (
+        ("sweep", "--kind", "fpr", *_XY_ARGV, "--method", "pls", "--sample-sizes", "30,20",
+         "--iterations", "4", "--permutations", "11", "--splits", "9", "--alpha", "0.1",
+         "--pca-components", "0.9", "--fpr-n", "100", "--fpr-p", "4", "--fpr-q", "2"),
+        {"command": "sweep", "kind": "fpr", "x": "x.csv", "y": "y.csv", "method": "pls",
+         "sample_sizes": (30, 20), "iterations": 4, "permutations": 11, "splits": 9,
+         "alpha": 0.1, "pca_components": "0.9", "fpr_n": 100, "fpr_p": 4, "fpr_q": 2},
+    ),
+    "pca fit": (
+        ("pca", "fit", "--x", "x.csv"),
+        {"command": "pca", "task": "fit", "x": "x.csv"},
+    ),
+    "pca scores": (
+        ("pca", "scores", "--x", "x.csv", "--pca-components", "3", "--scores-out", "s.csv"),
+        {"command": "pca", "task": "scores", "x": "x.csv", "pca_components": "3",
+         "scores_out": "s.csv"},
+    ),
+    "pca stability": (
+        ("pca", "stability", "--x", "x.csv", "--sample-sizes", "30,20", "--iterations", "4",
+         "--pca-components", "2", "--no-align"),
+        {"command": "pca", "task": "stability", "x": "x.csv", "sample_sizes": (30, 20),
+         "iterations": 4, "pca_components": "2", "align": False},
+    ),
+    "plot-data": (  # the one command without the common flags
+        ("plot-data", "--report", "r.json", "--kind", "eigenspectrum", "--out-dir", "o",
+         "--config", "c.json"),
+        {"command": "plot-data", "report": "r.json", "kind": "eigenspectrum", "out_dir": "o",
+         "config": "c.json"},
+    ),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, (*path, name))
+
+
+class TestCliFlags:
+    """Pins every subcommand's flags, so a refactor of their declaration that
+    drops, adds or re-types one fails here."""
+
+    def test_every_subcommand_is_pinned(self):
+        assert {path for path, _ in _leaf_parsers(cli.build_parser())} == set(FLAGS)
+        assert set(PARSED) == set(FLAGS)
+
+    @pytest.mark.parametrize("path", sorted(FLAGS))
+    def test_option_strings_defaults_choices_and_required(self, path):
+        parser = dict(_leaf_parsers(cli.build_parser()))[path]
+        got = {
+            "/".join(a.option_strings):
+                (a.default, tuple(a.choices) if a.choices else None, a.required)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert got == FLAGS[path]
+
+    @pytest.mark.parametrize("path", sorted(FLAGS))
+    def test_an_argv_setting_every_flag_parses_to_typed_values(self, path):
+        argv, expected = PARSED[path]
+        if path != "plot-data":
+            argv, expected = argv + _COMMON_ARGV, {**expected, **_COMMON_VARS}
+        got = vars(cli.build_parser().parse_args(list(argv)))
+        # repr tells 11 from 11.0 and (3, 2) from [3, 2], which == does not
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in expected.items()}
