@@ -75,28 +75,6 @@ _NUMERICAL_ERRORS = (RankDeficient, ResamplingError)
 FORMATS = ("json", "csv")
 METHODS = (PLS, CCA, "both")
 
-# Every option a config file may set: its default, and the JSON types the file
-# may give it, matched exactly, so true and false are not numbers; sample_sizes
-# is a list of integers. A command resolves the options its parser defines.
-_OPTIONS = {
-    "seed": (0, (int,)),
-    "out_dir": (".", (str,)),
-    "format": ("json", (str,)),
-    "threads": (None, (int, type(None))),  # resolved via CROSSBLOCK_THREADS
-    "method": ("both", (str,)),
-    "permutations": (1000, (int,)),
-    "bootstraps": (1000, (int,)),
-    "splits": (500, (int,)),
-    "iterations": (500, (int,)),
-    "sample_sizes": ((500, 250, 100, 50, 20), (list,)),
-    "alpha": (0.05, (int, float)),
-    "pca_components": (None, (int, float, str, type(None))),
-}
-_CHOICES = {"format": FORMATS, "method": METHODS}
-# Options that say where and how a run writes, not what it computes; reports
-# echo the others (the seed has its own metadata field).
-_NOT_ECHOED = ("seed", "out_dir", "format", "threads")
-
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
@@ -111,21 +89,45 @@ def _groups(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(group) for group in text.split(";") if group.strip())
 
 
-def _add_common(parser):
+# Every option a config file may set, and the only declaration of its flag, as
+# (default, JSON types, parse type, choices, help). A config file's value must
+# have one of the JSON types exactly, so true and false are not numbers; a
+# sample_sizes list holds integers. The flag parses with the parse type. A
+# command resolves the options its parser defines.
+_OPTIONS = {
+    "seed": (0, (int,), int, None, "master seed (default 0)"),
+    "out_dir": (".", (str,), None, None, "output directory (default .)"),
+    "format": ("json", (str,), None, FORMATS, "report format (default json)"),
+    "threads": (None, (int, type(None)), int, None,
+                "worker threads (default from CROSSBLOCK_THREADS); never affects results"),
+    "method": ("both", (str,), None, METHODS, "analysis method (default both)"),
+    "permutations": (1000, (int,), int, None, "permutation draws (default 1000)"),
+    "bootstraps": (1000, (int,), int, None, "bootstrap draws (default 1000)"),
+    "splits": (500, (int,), int, None, "random splits, at least 2 (default 500)"),
+    "iterations": (500, (int,), int, None, "subsamples per sample size (default 500)"),
+    "sample_sizes": ((500, 250, 100, 50, 20), (list,), _int_list, None,
+                     "comma-separated sample sizes (default 500,250,100,50,20)"),
+    "alpha": (0.05, (int, float), float, None, "significance level (default 0.05)"),
+    "pca_components": (None, (int, float, str, type(None)), None, None,
+                       "X components kept: an int, a variance fraction in (0,1), or 'auto' "
+                       "for the 98%% rule (pca stability: an int, default 2)"),
+}
+# The options every command but plot-data takes. They say where and how a run
+# writes, not what it computes; reports echo the others (the seed has its own
+# metadata field).
+_COMMON = ("seed", "out_dir", "format", "threads")
+
+
+def _add_options(parser, keys, inputs="", required=True):
+    """Declare --config, the block CSV flags named in ``inputs`` ("xy" gives
+    --x and --y) and the flags of the table options ``keys`` on ``parser``."""
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--out-dir", default=None, help="output directory (default .)")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="report format (default json)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads; never affects results")
-
-
-def _add_analysis(parser):
-    parser.add_argument("--x", required=True, help="X block CSV")
-    parser.add_argument("--y", required=True, help="Y block CSV")
-    parser.add_argument("--method", choices=METHODS, default=None,
-                        help="analysis method (default both)")
+    for name in inputs:
+        parser.add_argument(f"--{name}", required=required, help=f"{name.upper()} block CSV")
+    for key in keys:
+        _, _, parse, choices, text = _OPTIONS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=parse, choices=choices,
+                            help=text)
 
 
 def _resolve(args, key):
@@ -151,7 +153,7 @@ def _effective(args) -> dict:
 
 
 def _echo(eff: dict) -> dict:
-    return {k: v for k, v in eff.items() if k not in _NOT_ECHOED}
+    return {k: v for k, v in eff.items() if k not in _COMMON}
 
 
 def _methods(method: str) -> tuple[str, ...]:
@@ -172,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     null_p.add_argument("--n", type=int, default=10000)
     null_p.add_argument("--p", type=int, default=10)
     null_p.add_argument("--q", type=int, default=5)
-    _add_common(null_p)
+    _add_options(null_p, _COMMON)
     sub_p = sim_sub.add_parser("subspace", help="relevant-subspace structured blocks")
     sub_p.add_argument("--n", type=int, default=10000)
     sub_p.add_argument("--p", type=int, default=50)
@@ -186,78 +188,47 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Y variable groups per component, e.g. '1,3;2,4'")
     sub_p.add_argument("--eta", type=float, default=0.0)
     sub_p.add_argument("--r2", type=_float_list, default=(0.2, 0.1))
-    _add_common(sub_p)
+    _add_options(sub_p, _COMMON)
 
     fit = sub.add_parser("fit", help="full-sample analysis")
-    _add_analysis(fit)
-    fit.add_argument("--permutations", type=int, default=None)
-    fit.add_argument("--bootstraps", type=int, default=None)
-    fit.add_argument("--splits", type=int, default=None)
-    fit.add_argument("--pca-components", default=None,
-                     help="pre-analysis X reduction: an int, a variance "
-                          "fraction in (0,1), or 'auto' for the 98%% rule")
-    _add_common(fit)
-
+    _add_options(fit, ("method", "permutations", "bootstraps", "splits", "pca_components",
+                       *_COMMON), "xy")
     perm = sub.add_parser("permute", help="permutation test of the singular values")
-    _add_analysis(perm)
-    perm.add_argument("--permutations", type=int, default=None)
-    _add_common(perm)
-
+    _add_options(perm, ("method", "permutations", *_COMMON), "xy")
     boot = sub.add_parser("bootstrap", help="bootstrap intervals for scaled weights")
-    _add_analysis(boot)
-    boot.add_argument("--bootstraps", type=int, default=None)
-    _add_common(boot)
-
+    _add_options(boot, ("method", "bootstraps", *_COMMON), "xy")
     rep = sub.add_parser("reproduce", help="train/test and split-half assessment")
-    _add_analysis(rep)
-    rep.add_argument("--splits", type=int, default=None)
+    _add_options(rep, ("method", "splits", *_COMMON), "xy")
     rep.add_argument("--null-calibrate", action="store_true",
                      help="also compute the permuted-Y null distributions")
-    _add_common(rep)
 
     sweep = sub.add_parser("sweep", help="subsampling studies by sample size")
     sweep.add_argument("--kind", choices=("detectability", "fpr", "reproducibility"),
-                       required=True)
-    sweep.add_argument("--x", help="X block CSV (not needed for fpr)")
-    sweep.add_argument("--y", help="Y block CSV (not needed for fpr)")
-    sweep.add_argument("--method", choices=METHODS, default=None)
-    sweep.add_argument("--sample-sizes", type=_int_list, default=None)
-    sweep.add_argument("--iterations", type=int, default=None)
-    sweep.add_argument("--permutations", type=int, default=None)
-    sweep.add_argument("--splits", type=int, default=None)
-    sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument("--pca-components", default=None)
+                       required=True, help="fpr draws its own null blocks; the others "
+                                           "read --x and --y")
+    _add_options(sweep, ("method", "sample_sizes", "iterations", "permutations", "splits",
+                         "alpha", "pca_components", *_COMMON), "xy", required=False)
     sweep.add_argument("--fpr-n", type=int, default=10000)
     sweep.add_argument("--fpr-p", type=int, default=10)
     sweep.add_argument("--fpr-q", type=int, default=5)
-    _add_common(sweep)
 
     pca = sub.add_parser("pca", help="principal components of one block")
     pca_sub = pca.add_subparsers(dest="task", required=True)
     pca_fit = pca_sub.add_parser("fit", help="eigenspectrum report")
-    pca_fit.add_argument("--x", required=True)
-    _add_common(pca_fit)
+    _add_options(pca_fit, _COMMON, "x")
     pca_scores = pca_sub.add_parser("scores", help="write component scores as CSV")
-    pca_scores.add_argument("--x", required=True)
-    pca_scores.add_argument("--pca-components", default=None)
+    _add_options(pca_scores, ("pca_components", *_COMMON), "x")
     pca_scores.add_argument("--scores-out", default=None, help="output CSV path")
-    _add_common(pca_scores)
     pca_stab = pca_sub.add_parser("stability", help="component stability by sample size")
-    pca_stab.add_argument("--x", required=True)
-    pca_stab.add_argument("--sample-sizes", type=_int_list, default=None)
-    pca_stab.add_argument("--iterations", type=int, default=None)
-    pca_stab.add_argument("--pca-components", default=None,
-                          help="number of components to track (default 2)")
+    _add_options(pca_stab, ("sample_sizes", "iterations", "pca_components", *_COMMON), "x")
     align = pca_stab.add_mutually_exclusive_group()
     align.add_argument("--align", dest="align", action="store_true", default=True)
     align.add_argument("--no-align", dest="align", action="store_false")
-    _add_common(pca_stab)
 
     plot = sub.add_parser("plot-data", help="extract plot-ready CSV from a report")
     plot.add_argument("--report", required=True, help="report JSON file")
     plot.add_argument("--kind", choices=PLOT_KINDS, required=True)
-    plot.add_argument("--out-dir", default=None)
-    plot.add_argument("--config")
+    _add_options(plot, ("out_dir",))
     return parser
 
 
@@ -271,12 +242,13 @@ def _load_config_file(args):
         for key, value in data.items():
             if key not in _OPTIONS:
                 raise ValueError(f"config file: unknown key {key!r}")
-            if type(value) not in _OPTIONS[key][1] or (
+            _, types, _, choices, _ = _OPTIONS[key]
+            if type(value) not in types or (
                     key == "sample_sizes" and any(type(v) is not int for v in value)):
                 raise ValueError(f"config file: {key!r} has the wrong type: {json.dumps(value)}")
-            if key in _CHOICES and value not in _CHOICES[key]:
+            if choices and value not in choices:
                 raise ValueError(f"config file: {key!r} must be one of "
-                                 f"{', '.join(_CHOICES[key])}: {json.dumps(value)}")
+                                 f"{', '.join(choices)}: {json.dumps(value)}")
     args._config_data = data
 
 

@@ -220,10 +220,14 @@ def _reduce_x(x: DataBlock, config: ExperimentConfig):
     return component_scores(x, model, n_keep), model, n_keep
 
 
-def _cca_sample_guard(n_rows: int, p: int) -> str | None:
-    """Reason the within-block adjustment cannot be attempted, or None."""
+def _cca_sample_guard(n_rows: int, p: int, half: bool) -> str | None:
+    """Reason the within-block adjustment cannot be attempted, or None: the
+    sample, and with ``half`` (split-based assessments) each half too, must
+    exceed the X variable count."""
     if n_rows <= p:
         return f"sample size {n_rows} does not exceed the {p} X variables"
+    if half and n_rows // 2 <= p:
+        return "half-sample rank guard: " + _cca_sample_guard(n_rows // 2, p, half=False)
     return None
 
 
@@ -232,16 +236,17 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
 
     Fits every configured method on the full blocks and collects permutation
     p-values, bootstrap stability masks, the chi-square sequence (CCA), and
-    the train/test and split-half z tables. A CCA that fails the size guard,
-    or whose X or Y within-block correlation is rank deficient, is reported
-    as not-run with the reason (the rank failure names the block, its
-    smallest eigenvalue and the tolerance) while the other method's results
-    stand. Each method's block pair is prepared once, for all its resamplers.
+    the train/test and split-half z tables. A CCA whose sample or split
+    halves fail the size guard, or whose X or Y within-block correlation is
+    rank deficient, is reported as not-run with the reason (the rank failure
+    names the block, its smallest eigenvalue and the tolerance) while the
+    other method's results stand. Each method's block pair is prepared once,
+    for all its resamplers.
     """
     x_used, pca_model, n_keep = _reduce_x(x, config)
     entries = []
     for method in config.methods:
-        reason = _cca_sample_guard(x_used.n, x_used.k) if method == CCA else None
+        reason = _cca_sample_guard(x_used.n, x_used.k, half=True) if method == CCA else None
         if reason is None:
             try:
                 pair = prepare_pair(x_used, y, whiten=method == CCA)
@@ -320,14 +325,14 @@ def _subsample_blocks(x, y, idx, pca_reference):
     return xs, ys
 
 
-def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
+def _sweep(x, y, config, kind, evaluate, summarize) -> SubsampleReport:
     """The subsampling protocol shared by every study.
 
     For each sample size, ``n_iterations`` row subsets are drawn without
     replacement and materialized, with the PCA reduction re-fitted and
     aligned to the population fit when configured. CCA is blocked up front
-    when the sample size (the half-sample size when ``half`` is set, as
-    split-based assessments need) does not exceed the X variable count.
+    when the sample size (and for reproducibility, whose assessments split
+    it, the half-sample size) does not exceed the X variable count.
     ``evaluate(size, i, xs, ys)`` returns the function that assesses
     subsample i for one method; it is called for every method that is not
     blocked, in config order. A constant column or a rank-deficient CCA
@@ -345,9 +350,7 @@ def _sweep(x, y, config, kind, half, evaluate, summarize) -> SubsampleReport:
     cells = []
     any_cells = []
     for size in config.sample_sizes:
-        guard = _cca_sample_guard(size // 2 if half else size, p_effective)
-        if half and guard is not None:
-            guard = "half-sample rank guard: " + guard
+        guard = _cca_sample_guard(size, p_effective, half=kind == "reproducibility")
         blocked = {m: guard if m == CCA else None for m in config.methods}
         live = [m for m in config.methods if blocked[m] is None]
 
@@ -426,7 +429,7 @@ def run_detectability(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> S
         # union over the positional p-values would not.
         return {"detectability": hit.mean(axis=0), "any_lv": float(hit[:, 0].mean())}
 
-    return _sweep(x, y, config, "detectability", False, evaluate, summarize)
+    return _sweep(x, y, config, "detectability", evaluate, summarize)
 
 
 def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> SubsampleReport:
@@ -454,11 +457,15 @@ def run_reproducibility_by_n(x: DataBlock, y: DataBlock, config: ExperimentConfi
         return assess
 
     def summarize(outcomes):
+        # np.nanmean's sum and count, without its warning for an LV that is NaN
+        # in every subsample: that mean stays NaN, and the report writes null
         names = ("train_test_z", "split_half_z_u", "split_half_z_v")
+        stacks = [np.stack(z) for z in zip(*outcomes)]
         with np.errstate(invalid="ignore"):
-            return {name: np.nanmean(np.stack(z), axis=0) for name, z in zip(names, zip(*outcomes))}
+            return {name: np.where(np.isnan(z), 0, z).sum(axis=0) / (~np.isnan(z)).sum(axis=0)
+                    for name, z in zip(names, stacks)}
 
-    return _sweep(x, y, config, "reproducibility", True, evaluate, summarize)
+    return _sweep(x, y, config, "reproducibility", evaluate, summarize)
 
 
 def run_false_positive_sweep(

@@ -146,6 +146,12 @@ def _plain(obj):
     return obj
 
 
+def _canonical_json(obj) -> str:
+    """The one serialization of every JSON file a run writes: sorted keys,
+    2-space indent, no NaN, and a closing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _timestamp() -> str | None:
     """Deterministic timestamp: only SOURCE_DATE_EPOCH produces one.
 
@@ -190,7 +196,7 @@ class ReportDocument:
         return cls(data=json.loads(text))
 
     def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _canonical_json(self.data)
 
     def section(self, name: str) -> dict:
         try:
@@ -389,14 +395,8 @@ def write_report(report: ReportDocument, out_dir, stem: str = "report",
     bundle = out_dir / stem
     bundle.mkdir(parents=True, exist_ok=True)
     meta = bundle / "metadata.json"
-    meta.write_text(
-        json.dumps(
-            {"schema_version": report.data.get("schema_version"), "metadata": report.metadata},
-            sort_keys=True, indent=2, allow_nan=False,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    meta.write_text(_canonical_json({"schema_version": report.data.get("schema_version"),
+                                     "metadata": report.metadata}), encoding="utf-8")
     written.append(meta)
     for name, section in report.sections.items():
         written.extend(_section_tables(bundle, name, section))
@@ -457,10 +457,7 @@ def _section_tables(bundle: Path, name: str, section) -> list[Path]:
         return out
     # generic sections (permutation, bootstrap, reproducibility, ...) go to JSON
     path = bundle / f"{name}.json"
-    path.write_text(
-        json.dumps(section, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(_canonical_json(section), encoding="utf-8")
     return [path]
 
 

@@ -170,7 +170,7 @@ def pca_stability(
     pop = fit_pca(population)
     n = population.n
     if n_pc < 1 or n_pc > pop.k:
-        raise ValueError(f"n_pc must be in [1, {pop.k}]")
+        raise ValueError(f"n_pc (--pca-components, default 2) must be in [1, {pop.k}]")
     for size in sample_sizes:
         if not 2 <= size <= n:
             raise ValueError(f"sample size {size} not in [2, {n}]")

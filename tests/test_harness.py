@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ class TestGuards:
         assert "half-sample" in rep.cell(CCA, 12, 1).skip_reason
         assert rep.cell(PLS, 12, 1).status == OK
 
+    def test_reproducibility_lv_degenerate_everywhere_is_null_without_warning(self):
+        # 4-row subsamples split into 2-row halves of single columns, whose
+        # split-half z is degenerate (NaN) in every subsample; the cell mean stays
+        # NaN, silently
+        rng = np.random.default_rng(1)
+        x = DataBlock(rng.normal(size=(30, 1)), ("x1",))
+        y = DataBlock(rng.normal(size=(30, 1)), ("y1",))
+        cfg = ExperimentConfig(sample_sizes=(4,), n_iterations=3, n_split=2, methods=(PLS,),
+                               seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_reproducibility_by_n(x, y, cfg)
+        cell = rep.cell(PLS, 4, 1)
+        assert cell.status == OK and cell.n_completed == 3
+        assert np.isnan(cell.split_half_z_u) and np.isnan(cell.split_half_z_v)
+
     def test_full_sample_cca_not_run_when_underdetermined(self):
         rng = np.random.default_rng(5)
         x = DataBlock(rng.normal(size=(8, 10)), tuple(f"x{i}" for i in range(10)))
@@ -102,6 +120,20 @@ class TestGuards:
         assert res.method(CCA).status == NOT_RUN
         assert res.method(PLS).status == OK
         assert res.method(PLS).permutation is not None
+
+    def test_full_sample_cca_not_run_when_halves_do_not_exceed_p(self):
+        # 6 rows clear the full-size guard for 3 X variables, but each split
+        # half of 3 rows does not, so CCA is not-run and PLS stands
+        rng = np.random.default_rng(0)
+        x = DataBlock(rng.normal(size=(6, 3)), ("x1", "x2", "x3"))
+        y = DataBlock(rng.normal(size=(6, 2)), ("y1", "y2"))
+        cfg = ExperimentConfig(n_perm=20, n_boot=100, n_split=2, seed=5)
+        res = run_full_sample(x, y, cfg)
+        assert res.method(CCA).status == NOT_RUN
+        assert res.method(CCA).reason == (
+            "half-sample rank guard: sample size 3 does not exceed the 3 X variables")
+        assert res.method(PLS).status == OK
+        assert res.method(PLS).split_half_report is not None
 
 
 class TestFullSample:

@@ -628,6 +628,53 @@ class TestCli:
         assert f"of {'x' if swap else 'y'!r} is rank deficient" in reason
         assert "smallest eigenvalue" in reason and "tolerance" in reason
 
+    def test_fit_keeps_pls_when_cca_halves_cannot_clear_the_guard(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = DataBlock(rng.normal(size=(6, 3)), ("x1", "x2", "x3"))
+        y = DataBlock(rng.normal(size=(6, 2)), ("y1", "y2"))
+        paths = [write_block_csv(b, tmp_path / f"{n}.csv") for n, b in (("x", x), ("y", y))]
+        out = tmp_path / "out"
+        assert self.run("fit", "--x", str(paths[0]), "--y", str(paths[1]), "--method", "both",
+                        "--permutations", "20", "--bootstraps", "100", "--splits", "2",
+                        "--out-dir", str(out)) == 0
+        per_method = json.loads((out / "fit.json").read_text())["sections"]["full_sample"][
+            "per_method"]
+        assert per_method["pls"]["status"] == "ok"
+        assert per_method["cca"] == {
+            "status": "not-run",
+            "reason": "half-sample rank guard: sample size 3 does not exceed the 3 X variables",
+        }
+
+    def test_pca_stability_on_one_column_names_the_flag_and_its_default(self, tmp_path,
+                                                                          capsys):
+        path = write_block_csv(DataBlock(np.random.default_rng(0).normal(size=(40, 1)), ("a",)),
+                               tmp_path / "x.csv")
+        capsys.readouterr()
+        assert self.run("pca", "stability", "--x", str(path), "--sample-sizes", "20",
+                        "--iterations", "3", "--out-dir", str(tmp_path / "out")) == 2
+        assert ("n_pc (--pca-components, default 2) must be in [1, 1]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [
+        ("permute", "--permutations", "20"),
+        ("bootstrap", "--bootstraps", "100"),
+        ("reproduce", "--splits", "4", "--null-calibrate"),
+    ], ids=["permute", "bootstrap", "reproduce"])
+    def test_csv_bundle_section_files_are_the_report_sections_in_canonical_json(
+            self, tmp_path, command):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "80", "--p", "3", "--q", "2",
+                 "--seed", "6", "--out-dir", str(data))
+        args = (*command, "--x", str(data / "x.csv"), "--y", str(data / "y.csv"), "--seed", "3")
+        assert self.run(*args, "--out-dir", str(tmp_path / "j")) == 0
+        assert self.run(*args, "--format", "csv", "--out-dir", str(tmp_path / "c")) == 0
+        report = json.loads((tmp_path / "j" / f"{command[0]}.json").read_text())
+        bundle = tmp_path / "c" / command[0]
+        assert report["sections"]
+        for name, section in report["sections"].items():
+            expected = json.dumps(section, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert (bundle / f"{name}.json").read_text(encoding="utf-8") == expected
+
     def test_pca_component_count_capped_alike_in_fit_and_scores(self, tmp_path):
         data = tmp_path / "d"
         self.run("simulate", "null", "--n", "150", "--p", "50", "--q", "2",
