@@ -20,6 +20,7 @@ import numpy as np
 from .blocks import _CONSTANT_SD, DataBlock, _constant_errors, _zscored
 from .errors import ShapeMismatch
 from .parallel import map_draws
+from .reproducibility import _distribution_z
 from .rng import substream
 
 
@@ -126,7 +127,8 @@ class PcaStabilityResult:
     """Cosine stability of components across subsamples, one row per sample size.
 
     ``mean``, ``sd``, and ``z`` are (n_sizes, n_pc) arrays of the cosine
-    distribution summaries; z = mean / sd (NaN where sd is zero).
+    distribution summaries; z = mean / sd (NaN where the draws agree up to
+    rounding, as ``reproducibility`` rules).
     """
 
     sample_sizes: tuple[int, ...]
@@ -178,7 +180,7 @@ def pca_stability(
     values = population.values
 
     mean = np.empty((len(sample_sizes), n_pc))
-    sd = np.empty_like(mean)
+    sd, z = np.empty_like(mean), np.empty_like(mean)
     for row, size in enumerate(sample_sizes):
         batch = substream(seed, "pca-stability", size)
 
@@ -200,8 +202,7 @@ def pca_stability(
                                    size * pop.k, threads))
         mean[row] = draws.mean(axis=0)
         sd[row] = draws.std(axis=0, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sd > 0, mean / sd, np.nan)
+        z[row], _ = _distribution_z(draws)
     return PcaStabilityResult(
         sample_sizes=tuple(int(s) for s in sample_sizes),
         n_pc=n_pc,

@@ -38,8 +38,9 @@ class TrainTestReport:
     """Projected test singular values per split and their per-LV z scores.
 
     ``s_test_draws`` has one row per completed split (failed splits are
-    counted in ``n_failed``). Where a distribution has zero spread the z is
-    NaN and the LV is flagged degenerate instead of reporting infinity.
+    counted in ``n_failed``). Where a distribution has no spread beyond
+    rounding the z is NaN and the LV is flagged degenerate instead of
+    reporting an infinite or astronomically large z.
     """
 
     s_test_draws: np.ndarray
@@ -63,10 +64,19 @@ class SplitHalfReport:
     n_failed: int
 
 
+# A distribution is degenerate when its sd is at most this share of its largest
+# |draw|: draws equal up to rounding (1e-16 relative per fit, a few orders more
+# after the sums before it) keep an sd of roundoff, and mean / sd of that is an
+# astronomically large z that reports noise. No real spread is this narrow.
+_DEGENERATE_SD = 1e-12
+
+
 def _distribution_z(draws: np.ndarray):
+    """z = mean / sd (ddof 1) of each column of (draws, columns), NaN where the
+    column is degenerate, and the mask of degenerate columns."""
     mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
-    degenerate = sd == 0
+    degenerate = sd <= _DEGENERATE_SD * np.abs(draws).max(axis=0)
     z = np.full(draws.shape[1], np.nan)
     ok = ~degenerate
     z[ok] = mean[ok] / sd[ok]

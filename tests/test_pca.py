@@ -197,6 +197,14 @@ class TestPcaStability:
         with pytest.raises(ValueError, match=r"n_iter \(--iterations\) must be at least 2"):
             pca_stability(x, sample_sizes=(50,), n_iter=n_iter, n_pc=2, seed=1)
 
+    def test_whole_population_subsamples_are_degenerate(self):
+        # a subsample of every row fits the population's components up to
+        # rounding: the cosines' sd is roundoff, so z is NaN, not ~1e15
+        pop = DataBlock(np.random.default_rng(1).normal(size=(40, 3)), ("a", "b", "c"))
+        res = pca_stability(pop, sample_sizes=(40, 20), n_iter=20, seed=0)
+        assert np.isnan(res.z[0]).all()
+        assert np.isfinite(res.z[1]).all()
+
     def test_validates_sizes(self):
         x = flat_spectrum_block(100, seed=18)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from crossblock import (
     DataBlock,
+    ExperimentConfig,
     SimulationSpec,
     generate_null,
     generate_relevant_subspace,
@@ -15,7 +16,13 @@ from crossblock import (
 from crossblock.blocks import prepare_pair
 from crossblock.decomposition import CCA, PLS
 from crossblock.errors import ConstantColumn, RankDeficient
-from crossblock.reproducibility import TrainTestReport, _half_indices, _split_stack
+from crossblock.harness import run_reproducibility_by_n
+from crossblock.reproducibility import (
+    TrainTestReport,
+    _distribution_z,
+    _half_indices,
+    _split_stack,
+)
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -183,6 +190,28 @@ class TestTestHalfFailures:
         with pytest.raises(error) as err:
             fn(*self.blocks(x_broken, y_broken, collinear), method, n_split=3, seed=1)
         assert (err.value.block if error is RankDeficient else err.value.label) == name
+
+
+class TestRoundingLevelSpread:
+    # draws that agree up to rounding have an sd of roundoff, which is no spread
+    def test_roundoff_spread_is_degenerate(self):
+        draws = np.column_stack([1.0 + 1e-16 * np.arange(5), np.arange(5.0)])
+        z, degenerate = _distribution_z(draws)
+        assert degenerate.tolist() == [True, False]
+        assert np.isnan(z[0]) and np.isfinite(z[1])
+
+    def test_two_row_halves_report_no_astronomical_z(self):
+        # 1x1 blocks on 2-row halves correlate +-1 exactly up to rounding, so
+        # some subsamples' train/test draws are all equal
+        rng = np.random.default_rng(1)
+        x = DataBlock(rng.normal(size=(30, 1)), ("x0",))
+        y = DataBlock(rng.normal(size=(30, 1)), ("y0",))
+        config = ExperimentConfig(sample_sizes=(4,), n_iterations=3, n_split=2, seed=2)
+        cells = run_reproducibility_by_n(x, y, config).cells
+        assert {c.method for c in cells} == {PLS, CCA}
+        for c in cells:
+            assert c.status == "ok"
+            assert np.isnan(c.train_test_z) or abs(c.train_test_z) < 1e3
 
 
 class TestSplitHalf:
