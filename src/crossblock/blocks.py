@@ -36,7 +36,7 @@ _CONSTANT_SD = 1e-12
 # variance, is at most this: its sd is at most 1e-6 of the full sample's.
 _CONSTANT_DRAW_VAR = 1e-12
 # Rows that moment sums take at once.
-_SUM_ROWS = 2048
+_SUM_ROWS = 1024
 _SYM_TOL = 1e-10
 
 
@@ -267,24 +267,28 @@ class PreparedPair:
                                cross.reshape(*cross.shape[:-2], -1)], axis=-1)
 
     def moments(self, sums: np.ndarray):
-        """Covariances in the basis (PLS: of X with Y only), each column's
-        z-basis sd and the mask of columns constant on the draw (sd 1 stands
-        in for theirs), for one draw's sums or a stack."""
-        if self.roots is None:
-            k = self.data.shape[1] - 1
-            count = sums[..., :1]
-            mean = sums[..., 1 : 1 + k] / count
-            var = (sums[..., 2 + k : 2 + 2 * k] - count * mean * mean) / (count - 1)
-            xy = count[..., None] * mean[..., : self.p, None] * mean[..., None, self.p :]
-            cov = (sums[..., 2 + 2 * k :].reshape(xy.shape) - xy) / (count[..., None] - 1)
-        else:
+        """Covariances in the basis (PLS: of X with Y only) for one draw's sums
+        or a stack and, for PLS, ``_draw_sd`` of its z-basis variances. CCA's
+        kernel takes those from the Gram factors it forms, so it gets None."""
+        if self.roots is not None:
             count = sums[..., :1, :1]
             mean = sums[..., :1, 1:] / count
             cov = (sums[..., 1:, 1:] - count * mean.swapaxes(-1, -2) * mean) / (count - 1)
-            var = np.concatenate([np.einsum("ji,...jk,ki->...i", b, cov[..., part, part], b)
-                                  for b, part in zip(self.roots, _parts(self.p))], axis=-1)
-        constant = var <= _CONSTANT_DRAW_VAR
-        return cov, np.sqrt(np.where(constant, 1.0, var)), constant
+            return cov, None, None
+        k = self.data.shape[1] - 1
+        count = sums[..., :1]
+        mean = sums[..., 1 : 1 + k] / count
+        var = (sums[..., 2 + k : 2 + 2 * k] - count * mean * mean) / (count - 1)
+        xy = count[..., None] * mean[..., : self.p, None] * mean[..., None, self.p :]
+        cov = (sums[..., 2 + 2 * k :].reshape(xy.shape) - xy) / (count[..., None] - 1)
+        return cov, *_draw_sd(var)
+
+
+def _draw_sd(var: np.ndarray):
+    """Each column's sd from a draw's z-basis variances, 1 standing in for the
+    columns constant on the draw, and the mask of those columns."""
+    constant = var <= _CONSTANT_DRAW_VAR
+    return np.sqrt(np.where(constant, 1.0, var)), constant
 
 
 def _parts(p: int):

@@ -24,6 +24,7 @@ from .blocks import (
     CorrelationBundle,
     PreparedPair,
     _constant_errors,
+    _draw_sd,
     _parts,
     prepare_pair,
 )
@@ -37,8 +38,10 @@ METHODS = (PLS, CCA)
 # every report's metadata. Contract 1 evaluates every draw from weighted
 # moments of a pair prepared once, and CCA in a whitened basis; contract 2
 # takes permutation null singular values from eigenvalues of a small Gram;
-# contract 3 drops PLS's within-block sums and chunks permutation products.
-NUMERICS_CONTRACT = 3
+# contract 3 drops PLS's within-block sums and chunks permutation products;
+# contract 4 takes CCA's z-basis variances from its Gram factors and its K
+# from solves, and sums moments and products over 1024-row chunks.
+NUMERICS_CONTRACT = 4
 
 _ORTHO_TOL = 1e-8
 
@@ -174,31 +177,35 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray, fit=..., basis=...):
     PLS decomposes the draw's cross-correlations. CCA works in the pair's
     whitened basis, where a draw's Gram G is near the identity: with f' f = G
     per block, the canonical correlations are the singular values of
-    K = fx^-T Gxy fy^-1, which loses no digits to the blocks' condition. The
-    draw's z-basis correlation is L' L with L = f B / sd, so the singular
-    values of L give the rank guard its eigenvalues, and L's orthogonal polar
-    factor P maps K into the z-basis: m = Px' K Py, U = Px' Uk, V = Py' Vk.
+    K = fx^-T Gxy fy^-1, formed by two solves, which loses no digits to the
+    blocks' condition. The draw's z-basis covariance is (f B)' (f B), so f B's
+    squared column sums are its z-basis variances, and its correlation is L' L
+    with L = f B / sd. The singular values of L give the rank guard its
+    eigenvalues, and L's orthogonal polar factor P maps K into the z-basis:
+    m = Px' K Py, U = Px' Uk, V = Py' Vk.
     """
     cov, sd, constant = pair.moments(sums)
-    errors = _constant_errors(constant, pair.labels)
     x, y = _parts(pair.p)
     if pair.roots is None:
         m = cov / (sd[..., x, None] * sd[..., None, y])
         u, s, v = (None,) * 3 if fit is None else _oriented_svd(m[fit])
-        return u, s, v, None if basis is None else m[basis], errors
-    inverses, polars = [], []
-    for name, part, root in zip("xy", (x, y), pair.roots):
-        f = _gram_factor(cov[..., part, part])
-        ul, sl, vlt = np.linalg.svd(f @ root / sd[..., None, part])
+        return u, s, v, None if basis is None else m[basis], _constant_errors(constant, pair.labels)
+    factors = [_gram_factor(cov[..., part, part]) for part in (x, y)]
+    fbs = [f @ root for f, root in zip(factors, pair.roots)]
+    sd, constant = _draw_sd(np.concatenate([np.square(fb).sum(axis=-2) for fb in fbs], axis=-1))
+    errors = _constant_errors(constant, pair.labels)
+    k, polars = cov[..., x, y], []
+    for name, part, f, fb in zip("xy", (x, y), factors, fbs):
+        ul, sl, vlt = np.linalg.svd(fb / sd[..., None, part])
         ev = np.square(sl)  # the draw's z-basis correlation eigenvalues, descending
         bad = (ev[..., 0] <= 0) | (ev[..., -1] < RANK_REL_TOL * ev[..., 0])
         errors = [e or (RankDeficient(name, float(w[-1]), RANK_REL_TOL * max(float(w[0]), 0.0))
                         if b else None)
                   for e, b, w in zip(errors, bad.reshape(-1), ev.reshape(-1, ev.shape[-1]))]
         bad |= constant[..., part].any(axis=-1)  # a failed draw's f need not be invertible
-        inverses.append(np.linalg.inv(np.where(bad[..., None, None], np.eye(f.shape[-1]), f)))
+        f = np.where(bad[..., None, None], np.eye(f.shape[-1]), f)
+        k = np.linalg.solve(f.swapaxes(-1, -2), k).swapaxes(-1, -2)  # (fx^-T Gxy)', then K
         polars.append((ul @ vlt).swapaxes(-1, -2))
-    k = inverses[0].swapaxes(-1, -2) @ cov[..., x, y] @ inverses[1]
     u = s = v = m = None
     if fit is not None:
         uk, s, vkt = np.linalg.svd(k[fit], full_matrices=False)
@@ -211,7 +218,9 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray, fit=..., basis=...):
 def _pair_for(x, y, method: str, pair: PreparedPair | None = None) -> PreparedPair:
     """The pair ``method`` fits x and y from: ``pair``, which must be what
     ``prepare_pair(x, y, whiten=method == CCA)`` returned, or, when None, a
-    new one. A pair whose basis, rows or columns differ raises ValueError."""
+    new one. An unknown method, or a pair whose basis, rows or columns
+    differ, raises ValueError."""
+    method = check_method(method)
     if pair is None:
         return prepare_pair(x, y, whiten=method == CCA)
     basis = ("z-scored (PLS)", "whitened (CCA)")

@@ -30,7 +30,6 @@ from .decomposition import (
     _fit_zscored,
     _pair_for,
     align_reflections,
-    check_method,
 )
 from .errors import MethodMismatch, ResamplingError, unwrap
 from .parallel import map_draws
@@ -49,10 +48,6 @@ class PermutationResult:
     null_s: np.ndarray
     p_values: np.ndarray
     n_perm: int
-
-    @property
-    def r(self) -> int:
-        return self.observed_s.shape[0]
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,6 @@ def permutation_test(
         ``prepare_pair(x, y, whiten=method == CCA)`` shared by the caller;
         it is checked against the blocks and method, and never changed.
     """
-    method = check_method(method)
     if n_perm < 1:
         raise ValueError("n_perm must be at least 1")
     pair = _pair_for(x, y, method, pair)
@@ -213,7 +207,6 @@ def bootstrap_ci(
     before the iteration aborts with a diagnostic; silently skipping draws
     would bias the distribution. ``pair`` is as in ``permutation_test``.
     """
-    method = check_method(method)
     if n_boot < MIN_BOOTSTRAPS:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
     pair = _pair_for(x, y, method, pair)

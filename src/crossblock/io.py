@@ -522,15 +522,11 @@ def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
             raise MissingSection("report has no bootstrap results")
         return written
     if kind == "eigenspectrum":
-        for name in ("pca", "full_sample"):
-            if name in report.sections:
-                section = report.sections[name]
-                if name == "full_sample":
-                    section = section.get("pca")
-                    if section is None:
-                        continue
-                return [_eigenspectrum_table(out_dir / "eigenspectrum.csv", section)]
-        raise MissingSection("report has no PCA section")
+        sections = report.sections
+        section = sections.get("pca", sections.get("full_sample", {}).get("pca"))
+        if section is None:
+            raise MissingSection("report has no PCA section")
+        return [_eigenspectrum_table(out_dir / "eigenspectrum.csv", section)]
     if kind == "z-distributions":
         written = []
         for section_name, metrics in _draw_sources(report):
@@ -549,15 +545,10 @@ def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
 
 
 def _draw_sources(report: ReportDocument):
-    out = []
-    sections = report.sections
-    for name, section in sections.items():
+    """(name, [(metric, draws or None), ...]) of each reproducibility section."""
+    for name, section in report.sections.items():
         if name.startswith("reproducibility"):
-            metrics = []
             tt = section.get("train_test", {})
             sh = section.get("split_half", {})
-            metrics.append(("train_test", tt.get("draws")))
-            metrics.append(("split_half_u", sh.get("u_draws")))
-            metrics.append(("split_half_v", sh.get("v_draws")))
-            out.append((name, metrics))
-    return out
+            yield name, [("train_test", tt.get("draws")), ("split_half_u", sh.get("u_draws")),
+                         ("split_half_v", sh.get("v_draws"))]

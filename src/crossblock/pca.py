@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _CONSTANT_SD, DataBlock, _constant_errors, _zscored
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, unwrap
 from .parallel import map_draws
 from .reproducibility import _distribution_z
 from .rng import substream
@@ -56,9 +56,7 @@ class PcaModel:
 
 
 def _fit_values(values: np.ndarray, variance_target: float, labels=None) -> PcaModel:
-    error = _constant_errors(values.std(axis=0, ddof=1) < _CONSTANT_SD, labels)[0]
-    if error is not None:
-        raise error
+    unwrap(_constant_errors(values.std(axis=0, ddof=1) < _CONSTANT_SD, labels)[0])
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / (values.shape[0] - 1)
     w, v = np.linalg.eigh(cov)

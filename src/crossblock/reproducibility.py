@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import DataBlock, PreparedPair
-from .decomposition import _fit_zscored, _pair_for, check_method
+from .decomposition import _fit_zscored, _pair_for
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
@@ -39,8 +39,7 @@ class TrainTestReport:
 
     ``s_test_draws`` has one row per completed split (failed splits are
     counted in ``n_failed``). Where a distribution has no spread beyond
-    rounding the z is NaN and the LV is flagged degenerate instead of
-    reporting an infinite or astronomically large z.
+    rounding the z is NaN and the LV is flagged degenerate.
     """
 
     s_test_draws: np.ndarray
@@ -74,13 +73,10 @@ _DEGENERATE_SD = 1e-12
 def _distribution_z(draws: np.ndarray):
     """z = mean / sd (ddof 1) of each column of (draws, columns), NaN where the
     column is degenerate, and the mask of degenerate columns."""
-    mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
     degenerate = sd <= _DEGENERATE_SD * np.abs(draws).max(axis=0)
-    z = np.full(draws.shape[1], np.nan)
-    ok = ~degenerate
-    z[ok] = mean[ok] / sd[ok]
-    return z, degenerate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(degenerate, np.nan, draws.mean(axis=0) / sd), degenerate
 
 
 def _half_indices(perm: np.ndarray):
@@ -183,7 +179,6 @@ def train_test(
     first split's RankDeficient or ConstantColumn. ``pair`` is an optional
     shared ``prepare_pair(x, y, whiten=method == CCA)``, checked, never changed.
     """
-    method = check_method(method)
     return _split_reports(x, y, method, n_split, seed, "train-test", threads, pair,
                           (TrainTestReport,))[0]
 
@@ -204,7 +199,6 @@ def split_half(
     |diag(V1.T V2)|. Failed splits and ``pair`` are handled as in
     ``train_test``.
     """
-    method = check_method(method)
     return _split_reports(x, y, method, n_split, seed, "split-half", threads, pair,
                           (SplitHalfReport,))[0]
 
@@ -229,6 +223,5 @@ def null_calibration(
     how much of an observed z score mere dimensionality produces. ``pair``
     is as in ``train_test``.
     """
-    method = check_method(method)
     return tuple(_split_reports(x, y, method, n_split, seed, "null-calibration", threads, pair,
                                 (TrainTestReport, SplitHalfReport), null=True))

@@ -51,9 +51,9 @@ PINNED = {
     "data/truth_cov_yy.csv":
         "a1596fe724ed90bcc687b2678fbd14b3014303a90805bf49b1b6e1d1efecc539",
     "data/truth.json":
-        "940f7a486e721d6906fc3f039ee4afb5becf1da670adb804b4495d43472c2612",
+        "0473d728153799016ff7df388e738daa1014b863d0692add1d28a5fb6818d558",
     "fit/fit/metadata.json":
-        "8c34b75650396fc305d9c1d0ba9cd07668c6cb3d6e89fe64ac87ef1908d50d3b",
+        "c77684af21f8a9bea27e33b4bcd41ddd34d4fe70b3199a78caee60124eddc96a",
     "fit/fit/singular_values_pls.csv":
         "f5f207126a76515fff39dbeb816ec3ca0d47cee6ceccc7bcb1a89d645f518604",
     "fit/fit/reproducibility_z_pls.csv":
@@ -63,21 +63,21 @@ PINNED = {
     "fit/fit/singular_values_cca.csv":
         "cdb33e43df98c2c72378dec797cc48c040bd1005b5d42de932d7d00272598ca6",
     "fit/fit/reproducibility_z_cca.csv":
-        "5a5c3b3559119372760a88b6fec96e30d146b3e3cd22003e6e1715276dbe9d3e",
+        "bc828f2738644ce4b361ecba3b904c2ac5e75d93da88933a41928bcea6a08e10",
     "fit/fit/bartlett_cca.csv":
         "ee63db7d158b84a9da6bd2d1ac6d9018ecff860780efbdaecc7591441915308d",
     "fit/fit/stable_weights_cca.csv":
-        "f8cac3ebe2562fc801d9a2360d2c362f3d29f3b3a7c816894a56a232284f6e04",
+        "4a6a28359e23e59b17f4ca563a41a91fc80b4e54da741f71ea00aa2c61c2ff44",
     "reproduce/reproduce.json":
-        "04bf3acd29a7cdb2d719aec0c84a4b9b04307e0255f80f5c50b1963d26470ad2",
+        "dc4b1e03a7b91c3465f0b8e31b1ede9d93b1f2a93280c2a4cb3f66ac24a68237",
     "sweep/sweep_fpr/metadata.json":
-        "e2abf133724054f74553293d16628114df5e8b1bcfef834327956c8220751113",
+        "845c4773f399025de6c8b5ef960b38b80805ce52c1abda2b58e2b6f18d913a7c",
     "sweep/sweep_fpr/subsample_cells.csv":
         "5ed0df97aa0ed08b8ec4711fdbc2eff958450ed4fa57891fb0556f312db72338",
     "sweep/sweep_fpr/any_lv_rejection.csv":
         "ef6c593d6998dcad9d48f8a29617fa666dd7810df66709c52c78ddf8b8139c61",
     "pca/pca_stability.json":
-        "4edeb157e96107d77297927c3258de26905ad373900be873894d61b722275f8a",
+        "4d8e26f4bf1ff209b4bb2cba76d5635634ffbc5e7b1c6ee4ae2c351eb9451f93",
     "plots/z_distribution_reproducibility_pls_train_test.csv":
         "f766bd0daae4050c2d304f0c67f09a39286f16453865bd28bfe03fa7841c0e8c",
     "plots/z_distribution_reproducibility_pls_split_half_u.csv":

@@ -107,19 +107,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "detect-cca-blocked": "04dd337b6c394dd3561b7ec5a627168a48572101df9c7b31dcee763f313bd40f",
-    "detect-constant-skips": "0ae4151bec52aa30ba2822bfb33adbd9143cfb6a0a2989cd6c804ed40efcfb8b",
-    "detect-pca-fraction": "e8377a81d9f047e829f2d76d9fb2bb8291b52f8a8587e64734c02ae0df1e4221",
-    "detect-pca-int": "48d8e6d3eb3f692e8ea7fd28c9ad6cc5a5ae54b92c8a6086932461008273137b",
-    "detect-plain": "98ae3418026fdd618d4907a817ada2842d82213187da1eb19feaa5df44e4f1f0",
-    "detect-pls-only": "ad3cf87ad593c38798a7ab3c3ac2a71e6b99db34b271aecabe68ca99df892e29",
-    "fpr": "ad09c9e4a58dd5d9b893b8cccaba44dda1503494ca8ad261a2aa64b218ca4e67",
-    "full-pca": "3e0966ac7d49af264891c9fa341dcdc2d043a03bf353b473f05d2c1417839b36",
-    "full-plain": "3e6f8749564cdb2c19ec1f54a0d9a74ad00ffadcfda8d2bea29a4640eff4ae92",
-    "repro-constant-skips": "f3ff78351943ddcd9aa5d37dca0fb24a6557b146f88ccf569c0a8f664a6184a8",
-    "repro-half-guard": "d4509fdfec096c5aad60909929dbe782847875ea8764b3f1aca3f413bcb1951c",
-    "repro-pca": "b8cd3855aa07e570a93579ef25e2e39e3a868910be4359fe9e14b8a615cd0b25",
-    "repro-plain": "9780e46828df1485d529e9aae134cd0be2b2ee4ef037bfef8dbe8de4c18c393c",
+    "detect-cca-blocked": "c62fea14db2eef1b2aeade300eca0c3e6987e8d19b0ff1eb07de33081877110c",
+    "detect-constant-skips": "787ce14204b0b4855744441cf88f3700ba9d9116291c85de7c1d1ce71a401356",
+    "detect-pca-fraction": "8e2bc22f50339c57ba4f099f192e5d0f957e977b25a6a0dd646e49387892ccb3",
+    "detect-pca-int": "7d5092cb0a1fc33f796f6c8613c44c418896216424fbd549bafe3db128417014",
+    "detect-plain": "ea3fc107a63e4885fa89c871a66d7a48de10017095825bba36607f410bc0f387",
+    "detect-pls-only": "08010164c0c93c55735a26ea440785535c77901bd4b8b436b2d83db34bb5fa45",
+    "fpr": "c753d6a53e2638409d8fe03c601d6cf960c25d019b82ec5eea61890c975b8205",
+    "full-pca": "aa275e30ec31e5fe5cfb36b24e026c9a3065f3eb0b3cee16c7f377ffe83d7552",
+    "full-plain": "3b42bc09cf1a4af2ca8dd11eef48b896873992bf33adb3d81a6744ca717e1e6c",
+    "repro-constant-skips": "a193b3c05c288a35282e86ee9820c220011fcfa14ffb1241feb46996afaf45c8",
+    "repro-half-guard": "ce183269ae938293ab8f90a966174ff91774aca6c45b18faadbbff6ec26053fe",
+    "repro-pca": "ee4abd430bcca73d050782385f3e069d31e46fcb72290efb04786b9deb841ca7",
+    "repro-plain": "874f6c5607d40edc6f2cd01c1e72bc31772c4915cf68ffb4f914ef9b240d91cb",
 }
 
 # sha256 of each case's ``sections`` alone, serialized as ``to_json`` does;
@@ -132,12 +132,12 @@ GOLDEN_SECTIONS = {
     "detect-plain": "8dafa500e8591a23027206784ed44fe58cbd7912e579ec21a0b317e024843b5e",
     "detect-pls-only": "096eee4e38570b4aa16b33279f91283ca94cb5f4a97448e9fd1c6b34af2c0d38",
     "fpr": "570855bd2eea957bfb71478592bcdb4c127ecbde792fdafa5c09c690dd991dda",
-    "full-pca": "360dde6b1985ece88aa577d9d29cceb9612a22488f809daf1477a0fe6ec5b7b5",
-    "full-plain": "efb7319a3c1cba7d74ebb7a144563ee11abc1960b112504e2fb14d6c309d0a18",
-    "repro-constant-skips": "59f48fc26c95f9cb9f1c7953e33f9ba51ad5527873f063c41dec7995ede93d41",
+    "full-pca": "6f16fab19075377b26016d43f8418ed214c6ebb8b45c7a2bb5e0b9122b0c8f02",
+    "full-plain": "75efeaadb731d33ffe61e2dc56ed448ddc8c4a5d8a529b4182e6d0bc2bd4c394",
+    "repro-constant-skips": "d5533984e8e7c0a9b7264c865cdb71b7d33401db5ba70bbd0a25020ee5bdf200",
     "repro-half-guard": "3839e6ba51ac5f5bc1bef33ebf500ac0ed0eea3e0d2c0d8aec0041dc5f5a2865",
-    "repro-pca": "476517339de69c83a2baa0b24053f51d5125e9aa5bed3e22f37accd4ae63b006",
-    "repro-plain": "e7a1ae72ab6e51f52a770564c428cfb1ee126f4380dc10a5d6e0934ae64a8896",
+    "repro-pca": "074185845054b3ccddfd24334f5d6400cd1ca94642213d44917e1765b081d89d",
+    "repro-plain": "a3e605f8797049d2b9fb94e19726a128228a152ec946501c96d4f755dcb0ed89",
 }
 
 

@@ -21,8 +21,16 @@ from crossblock import (
     generate_relevant_subspace,
     permutation_test,
 )
-from crossblock.blocks import RANK_REL_TOL, PreparedPair, _adjustment_roots, prepare_pair
-from crossblock.decomposition import CCA, _fit_zscored
+import crossblock.decomposition as decomposition
+from crossblock.blocks import (
+    _CONSTANT_DRAW_VAR,
+    RANK_REL_TOL,
+    PreparedPair,
+    _adjustment_roots,
+    _parts,
+    prepare_pair,
+)
+from crossblock.decomposition import CCA, _fit_zscored, _gram_factor
 from crossblock.errors import ConstantColumn, RankDeficient
 from crossblock.rng import substream
 
@@ -70,6 +78,49 @@ def test_bootstrap_draws_match_the_qr_oracle():
     assert errors == [None] * 30
     exact = np.stack([qr_canonical_correlations(ds.x.values[i], ds.y.values[i]) for i in idx])
     assert np.abs(s - exact).max() <= QR_TOL
+
+
+def test_cca_sd_from_gram_factors_equals_that_of_the_z_basis_covariance(monkeypatch):
+    # f' f is a draw's Gram, so f B's squared column sums are diag(B' cov B)
+    rng = np.random.default_rng(7)
+    xv = rng.normal(size=(60, 4)) * [1.0, 3.0, 0.2, 5.0] + 0.5 * rng.normal(size=(60, 1))
+    xv[30:, 2] = 4.0  # constant on rows 30+, so draws of those rows only are
+    yv = xv[:, :3] @ rng.normal(size=(3, 3)) + rng.normal(size=(60, 3))
+    pair = prepare_pair(labelled(xv, "x"), labelled(yv, "y"), whiten=True)
+    rows = np.concatenate([rng.integers(0, 60, (20, 60)), rng.integers(30, 60, (5, 60))])
+    seen, draw_sd = [], decomposition._draw_sd
+    monkeypatch.setattr(decomposition, "_draw_sd", lambda var: seen.append(draw_sd(var)) or seen[-1])
+    sums = pair.sums(rows)
+    *_, errors = _fit_zscored(pair, sums)
+    [(sd, constant)] = seen
+    cov = pair.moments(sums)[0]
+    var = np.concatenate([np.einsum("ji,...jk,ki->...i", b, cov[..., part, part], b)
+                          for b, part in zip(pair.roots, _parts(pair.p))], axis=-1)
+    expected = var <= _CONSTANT_DRAW_VAR
+    assert expected[:20].sum() == 0 and expected[20:, 2].all()
+    assert np.array_equal(constant, expected)
+    assert np.abs(sd / np.sqrt(np.where(expected, 1.0, var)) - 1.0).max() <= 1e-12
+    assert errors[:20] == [None] * 20
+    assert all(isinstance(e, ConstantColumn) and e.label == "x2" for e in errors[20:])
+
+
+def test_k_from_solves_matches_the_explicit_inverse_on_near_collinear_blocks():
+    x, y = near_collinear(seed=2)
+    pair = prepare_pair(x, y, whiten=True)
+    sums = pair.sums(substream(2, "bootstrap").integers(0, x.n, (10, x.n)))
+    *_, m, errors = _fit_zscored(pair, sums, fit=None)
+    assert errors == [None] * 10
+    cov = pair.moments(sums)[0]
+    inverses, polars = [], []
+    for part, root in zip(_parts(pair.p), pair.roots):
+        f = _gram_factor(cov[..., part, part])
+        fb = f @ root
+        ul, _, vlt = np.linalg.svd(fb / np.sqrt(np.einsum("...ij,...ij->...j", fb, fb))[..., None, :])
+        inverses.append(np.linalg.inv(f))
+        polars.append(ul @ vlt)
+    x_part, y_part = _parts(pair.p)
+    k = inverses[0].swapaxes(-1, -2) @ cov[..., x_part, y_part] @ inverses[1]
+    assert np.abs(m - polars[0].swapaxes(-1, -2) @ k @ polars[1]).max() <= 1e-10
 
 
 def moment_pair(r, n=50):
