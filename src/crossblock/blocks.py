@@ -35,7 +35,7 @@ _CONSTANT_SD = 1e-12
 # A draw's column is constant when its variance, in units of the full sample's
 # variance, is at most this: its sd is at most 1e-6 of the full sample's.
 _CONSTANT_DRAW_VAR = 1e-12
-# Rows that moment sums take at once.
+# Rows that moment sums and permutation products add at once.
 _SUM_ROWS = 1024
 _SYM_TOL = 1e-10
 

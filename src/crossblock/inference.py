@@ -16,7 +16,7 @@ stacks, each gathered by ``take`` from a C-contiguous basis (never by fancy
 index or from a strided view). A bootstrap stack is
 evaluated from weighted moments of the prepared rows; a permutation stack
 from its cross products, whose Gram eigenvalues give the null's values.
-Both sum 2048 rows at a time: X's chunk stays in cache across a stack.
+Both sum 1024 rows at a time: X's chunk stays in cache across a stack.
 """
 
 from dataclasses import dataclass
@@ -100,7 +100,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
 
 
 def _cross(xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """xb' y of one (n, q) block or a stack, summed over 2048-row chunks."""
+    """xb' y of one (n, q) block or a stack, summed over 1024-row chunks."""
     total = np.matmul(xb[:_SUM_ROWS].T, y[..., :_SUM_ROWS, :])
     for start in range(_SUM_ROWS, len(xb), _SUM_ROWS):
         total += np.matmul(xb[start : start + _SUM_ROWS].T, y[..., start : start + _SUM_ROWS, :])

@@ -126,7 +126,7 @@ class PcaStabilityResult:
 
     ``mean``, ``sd``, and ``z`` are (n_sizes, n_pc) arrays of the cosine
     distribution summaries; z = mean / sd (NaN where the draws agree up to
-    rounding, as ``reproducibility`` rules).
+    rounding; see ``reproducibility._distribution_z``).
     """
 
     sample_sizes: tuple[int, ...]

@@ -84,12 +84,17 @@ def test_cca_sd_from_gram_factors_equals_that_of_the_z_basis_covariance(monkeypa
     # f' f is a draw's Gram, so f B's squared column sums are diag(B' cov B)
     rng = np.random.default_rng(7)
     xv = rng.normal(size=(60, 4)) * [1.0, 3.0, 0.2, 5.0] + 0.5 * rng.normal(size=(60, 1))
-    xv[30:, 2] = 4.0  # constant on rows 30+, so draws of those rows only are
+    xv[30:, 2] = 4.0  # a draw of rows 30+ alone has a constant x2
     yv = xv[:, :3] @ rng.normal(size=(3, 3)) + rng.normal(size=(60, 3))
     pair = prepare_pair(labelled(xv, "x"), labelled(yv, "y"), whiten=True)
     rows = np.concatenate([rng.integers(0, 60, (20, 60)), rng.integers(30, 60, (5, 60))])
     seen, draw_sd = [], decomposition._draw_sd
-    monkeypatch.setattr(decomposition, "_draw_sd", lambda var: seen.append(draw_sd(var)) or seen[-1])
+
+    def recording(var):  # the kernel's sd and constant mask
+        seen.append(draw_sd(var))
+        return seen[-1]
+
+    monkeypatch.setattr(decomposition, "_draw_sd", recording)
     sums = pair.sums(rows)
     *_, errors = _fit_zscored(pair, sums)
     [(sd, constant)] = seen
@@ -97,7 +102,7 @@ def test_cca_sd_from_gram_factors_equals_that_of_the_z_basis_covariance(monkeypa
     var = np.concatenate([np.einsum("ji,...jk,ki->...i", b, cov[..., part, part], b)
                           for b, part in zip(pair.roots, _parts(pair.p))], axis=-1)
     expected = var <= _CONSTANT_DRAW_VAR
-    assert expected[:20].sum() == 0 and expected[20:, 2].all()
+    assert not expected[:20].any() and expected[20:, 2].all()
     assert np.array_equal(constant, expected)
     assert np.abs(sd / np.sqrt(np.where(expected, 1.0, var)) - 1.0).max() <= 1e-12
     assert errors[:20] == [None] * 20
@@ -115,7 +120,8 @@ def test_k_from_solves_matches_the_explicit_inverse_on_near_collinear_blocks():
     for part, root in zip(_parts(pair.p), pair.roots):
         f = _gram_factor(cov[..., part, part])
         fb = f @ root
-        ul, _, vlt = np.linalg.svd(fb / np.sqrt(np.einsum("...ij,...ij->...j", fb, fb))[..., None, :])
+        sd = np.sqrt(np.einsum("...ij,...ij->...j", fb, fb))
+        ul, _, vlt = np.linalg.svd(fb / sd[..., None, :])
         inverses.append(np.linalg.inv(f))
         polars.append(ul @ vlt)
     x_part, y_part = _parts(pair.p)
