@@ -13,7 +13,6 @@ import numpy as np
 from crossblock import (
     SimulationSpec,
     component_scores,
-    correlation_bundle,
     fit_cca,
     fit_pca,
     fit_pls,
@@ -31,14 +30,12 @@ model = fit_pca(ds.x)
 print("eigenspectrum (first ten):", np.round(model.eigenvalues[:10], 3))
 print(f"components for 98% of the variance: {model.n_kept}")
 
-raw = correlation_bundle(ds.x, ds.y, with_omega=True)
-print("\nraw blocks:     PLS s =", np.round(fit_pls(raw).s, 4))
-print("                CCA s =", np.round(fit_cca(raw).s, 4))
+print("\nraw blocks:     PLS s =", np.round(fit_pls(ds.x, ds.y).s, 4))
+print("                CCA s =", np.round(fit_cca(ds.x, ds.y).s, 4))
 
 scores = component_scores(ds.x, model, model.n_kept)
-reduced = correlation_bundle(scores, ds.y, with_omega=True)
-print("\nscore blocks:   PLS s =", np.round(fit_pls(reduced).s, 4))
-print("                CCA s =", np.round(fit_cca(reduced).s, 4))
+print("\nscore blocks:   PLS s =", np.round(fit_pls(scores, ds.y).s, 4))
+print("                CCA s =", np.round(fit_cca(scores, ds.y).s, 4))
 print("(identity within-block structure makes the two methods agree)")
 
 print("\ncomponent stability by sample size (z of cosine with the population")

@@ -4,10 +4,8 @@ reliability, and reproducibility assessment."""
 __version__ = "0.1.0"
 
 from .blocks import (
-    CorrelationBundle,
     DataBlock,
     RANK_REL_TOL,
-    correlation_bundle,
     inverse_sqrt_sym,
 )
 from .datagen import (

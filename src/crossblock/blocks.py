@@ -1,18 +1,18 @@
-"""Data blocks, standardization, and correlation structure.
+"""Data blocks, standardization, and the prepared pair every fit runs on.
 
 A DataBlock is an n x k observation matrix with column labels; every
-analysis in this package consumes pairs of them. This module computes the
-within- and cross-block correlation matrices, the adjusted cross-block
-matrix used for canonical correlation (the cross-correlations pre- and
-post-multiplied by the symmetric inverse square roots of the within-block
-correlations), and the spectral utilities those computations rest on.
+analysis in this package consumes pairs of them. ``prepare_pair`` z-scores
+a pair once and, for canonical correlation, whitens each block, with the
+eigendecomposition of its within-block correlation matrix as the rank
+guard. This module also holds the spectral utilities those steps rest on.
 
-Resamplers evaluate their draws from a PreparedPair: the pair's rows in a
-fixed basis, prepared once, from which any draw's moments are weighted sums
-over rows. Sample statistics use n - 1 denominators throughout.
+Every fit, the whole sample's as well as each resampled draw's, is
+evaluated from a PreparedPair: the pair's rows in a fixed basis, prepared
+once, from which any draw's moments are weighted sums over rows. Sample
+statistics use n - 1 denominators throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,53 +75,6 @@ class DataBlock:
     @property
     def k(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CorrelationBundle:
-    """Within- and cross-block correlation matrices for a block pair.
-
-    ``omega`` is the cross-correlation matrix adjusted for the within-block
-    correlations; it is present only when requested at construction (it
-    requires both within-block matrices to be full rank).
-    """
-
-    rxx: np.ndarray
-    ryy: np.ndarray
-    rxy: np.ndarray
-    ryx: np.ndarray
-    omega: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        for name in ("rxx", "ryy", "rxy", "ryx", "omega"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = np.asarray(m, dtype=np.float64)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        p, q = self.rxy.shape
-        if self.rxx.shape != (p, p) or self.ryy.shape != (q, q):
-            raise ValueError("inconsistent block dimensions")
-        for name in ("rxx", "ryy"):
-            m = getattr(self, name)
-            if np.abs(m - m.T).max() > _SYM_TOL:
-                raise ValueError(f"{name} is not symmetric")
-            if np.abs(np.diag(m) - 1.0).max() > _SYM_TOL:
-                raise ValueError(f"{name} does not have a unit diagonal")
-        for name in ("rxx", "ryy", "rxy"):
-            if np.abs(getattr(self, name)).max() > 1.0 + _SYM_TOL:
-                raise ValueError(f"{name} has entries outside [-1, 1]")
-        if not np.array_equal(self.ryx, self.rxy.T):
-            raise ValueError("ryx must equal the transpose of rxy exactly")
-
-    @property
-    def p(self) -> int:
-        return self.rxy.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.rxy.shape[1]
 
 
 def _zscore_values(values: np.ndarray):
@@ -190,37 +143,6 @@ def _adjustment_roots(rxx: np.ndarray, ryy: np.ndarray):
     ax, x_error = _inverse_roots(rxx, "x")
     by, y_error = _inverse_roots(ryy, "y")
     return ax, by, x_error or y_error
-
-
-def correlation_bundle(x: DataBlock, y: DataBlock, with_omega: bool = False) -> CorrelationBundle:
-    """Correlation matrices for a pair of blocks with matching rows.
-
-    Both blocks are standardized internally, so the result is invariant to
-    per-column affine rescaling of the inputs. When ``with_omega`` is set the
-    adjusted cross-block matrix is computed as well, from the whitened pair
-    of ``prepare_pair``, which requires both within-block correlation
-    matrices to be full rank.
-
-    Raises
-    ------
-    ObservationMismatch
-        If the blocks have different row counts.
-    RankDeficient
-        If ``with_omega`` is set and a within-block matrix has an eigenvalue
-        below the rank tolerance.
-    """
-    pair = prepare_pair(x, y)
-    r = _within_correlation(pair.data[:, 1:])  # of both blocks' z-scores together
-    rxy = r[: x.k, x.k :]
-    omega = None
-    if with_omega:
-        from .decomposition import _fit_zscored  # the fitting kernel builds on this module
-
-        pair = prepare_pair(x, y, whiten=True)
-        *_, omega, (error,) = _fit_zscored(pair, pair.sums(), fit=None)
-        unwrap(error)
-    return CorrelationBundle(rxx=r[: x.k, : x.k], ryy=r[x.k :, x.k :], rxy=rxy,
-                             ryx=rxy.T.copy(), omega=omega)
 
 
 @dataclass(frozen=True)

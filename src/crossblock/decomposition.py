@@ -21,14 +21,14 @@ import numpy as np
 
 from .blocks import (
     RANK_REL_TOL,
-    CorrelationBundle,
+    DataBlock,
     PreparedPair,
     _constant_errors,
     _draw_sd,
     _parts,
     prepare_pair,
 )
-from .errors import MissingOmega, RankDeficient, ShapeMismatch
+from .errors import RankDeficient, ShapeMismatch, unwrap
 
 PLS = "pls"
 CCA = "cca"
@@ -103,25 +103,19 @@ def _oriented_svd(m: np.ndarray):
     return _oriented(u, s, vt.swapaxes(-1, -2))
 
 
-def fit_pls(bundle: CorrelationBundle) -> CrossBlockModel:
-    """Fit a PLS model: decompose the cross-correlation matrix directly."""
-    u, s, v = _oriented_svd(bundle.rxy)
-    return CrossBlockModel(method=PLS, u=u, s=s, v=v)
+def fit_pls(x: DataBlock, y: DataBlock) -> CrossBlockModel:
+    """PLS of two blocks with matching rows: the SVD of their cross-correlation
+    matrix. Raises ObservationMismatch when the row counts differ and
+    ConstantColumn naming the first constant column (X before Y)."""
+    return _fit(x, y, PLS)[1]
 
 
-def fit_cca(bundle: CorrelationBundle) -> CrossBlockModel:
-    """Fit a CCA model: decompose the within-block adjusted cross matrix.
-
-    The bundle must have been built with ``with_omega=True``; a bundle whose
-    adjusted matrix is absent (for example because a within-block matrix was
-    rank deficient) raises MissingOmega.
-    """
-    if bundle.omega is None:
-        raise MissingOmega(
-            "bundle has no adjusted cross-block matrix; rebuild with with_omega=True"
-        )
-    u, s, v = _oriented_svd(bundle.omega)
-    return CrossBlockModel(method=CCA, u=u, s=s, v=v)
+def fit_cca(x: DataBlock, y: DataBlock) -> CrossBlockModel:
+    """CCA of two blocks with matching rows: the SVD of their cross-correlation
+    matrix adjusted for each block's own correlations, whose singular values
+    are the canonical correlations. Raises as ``fit_pls`` does and, when a
+    block's correlation matrix fails the rank guard, RankDeficient naming it."""
+    return _fit(x, y, CCA)[1]
 
 
 def align_reflections(reference: np.ndarray, candidate: np.ndarray, paired: np.ndarray):
@@ -231,3 +225,12 @@ def _pair_for(x, y, method: str, pair: PreparedPair | None = None) -> PreparedPa
     if differ:
         raise ValueError("prepared pair does not match: " + "; ".join(differ))
     return pair
+
+
+def _fit(x, y, method: str, pair: PreparedPair | None = None):
+    """The pair ``method`` fits x and y from (``_pair_for``) and the model
+    of all its rows; a constant column or rank failure raises."""
+    pair = _pair_for(x, y, method, pair)
+    u, s, v, _, (error,) = _fit_zscored(pair, pair.sums(), basis=None)
+    unwrap(error)
+    return pair, CrossBlockModel(method=method, u=u, s=s, v=v)

@@ -44,10 +44,6 @@ class NotPositiveDefinite(CrossBlockError):
         super().__init__(f"matrix is not positive definite (eigenvalue {eigenvalue:.3e})")
 
 
-class MissingOmega(CrossBlockError):
-    """The bundle was built without the adjusted cross-block matrix."""
-
-
 class MethodMismatch(CrossBlockError):
     """Operation requires a model fitted with a different method."""
 

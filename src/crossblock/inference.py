@@ -27,11 +27,12 @@ from .blocks import _SUM_ROWS, DataBlock, PreparedPair
 from .decomposition import (
     CCA,
     CrossBlockModel,
+    _fit,
     _fit_zscored,
     _pair_for,
     align_reflections,
 )
-from .errors import MethodMismatch, ResamplingError, unwrap
+from .errors import MethodMismatch, ResamplingError
 from .parallel import map_draws
 from .rng import permutation_rows, substream
 
@@ -209,18 +210,16 @@ def bootstrap_ci(
     """
     if n_boot < MIN_BOOTSTRAPS:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
-    pair = _pair_for(x, y, method, pair)
-    u_obs, s_obs, v_obs, _, (error,) = _fit_zscored(pair, pair.sums(), basis=None)
-    unwrap(error)
-    us_obs = u_obs * s_obs
-    vs_obs = v_obs * s_obs
+    pair, observed = _fit(x, y, method, pair)
+    us_obs = observed.u * observed.s
+    vs_obs = observed.v * observed.s
     n = x.n
 
     def fits(idx):
         """U * s and V * s of a stack of draws, aligned to the observed U, and
         the draws to redraw (a constant column or a CCA rank failure)."""
         u, s, v, _, errors = _fit_zscored(pair, pair.sums(idx), basis=None)
-        u, v, _ = align_reflections(u_obs, u, v)
+        u, v, _ = align_reflections(observed.u, u, v)
         s = s[..., None, :]
         return u * s, v * s, [e is not None for e in errors]
 
@@ -286,7 +285,10 @@ def _bartlett(s: np.ndarray, n: int, p: int, q: int) -> BartlettResult:
     if n <= p + q:
         raise ValueError(f"need n > p + q, got n={n}, p={p}, q={q}")
     mult = n - 1 - (p + q + 1) / 2
-    log_terms = np.log1p(-np.square(s))
+    # s^2 is bounded by 1 because a canonical correlation of 1 can come out
+    # above 1 by roundoff; every test that includes one then reads p = 0.
+    with np.errstate(divide="ignore"):
+        log_terms = np.log1p(-np.minimum(np.square(s), 1.0))
     tests = []
     for k in range(1, len(s) + 1):
         stat = -mult * float(np.sum(log_terms[k - 1 :]))

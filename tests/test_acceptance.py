@@ -19,7 +19,6 @@ from crossblock import (
     SimulationSpec,
     bartlett_test,
     component_scores,
-    correlation_bundle,
     fit_cca,
     fit_pca,
     fit_pls,
@@ -154,8 +153,7 @@ def test_criterion_3_cca_pls_equivalence(structured_dataset):
     ds = generate_null(600, 5, 3, seed=30)
     sx = component_scores(ds.x, fit_pca(ds.x), 5)
     sy = component_scores(ds.y, fit_pca(ds.y), 3)
-    b = correlation_bundle(sx, sy, with_omega=True)
-    exact_gap = float(np.abs(fit_cca(b).s - fit_pls(b).s).max())
+    exact_gap = float(np.abs(fit_cca(sx, sy).s - fit_pls(sx, sy).s).max())
     ok = exact_gap < 1e-8
 
     # reduced structured data: leading values agree within 0.01 and sit in
@@ -167,9 +165,8 @@ def test_criterion_3_cca_pls_equivalence(structured_dataset):
         )
         model = fit_pca(data.x)
         scores = component_scores(data.x, model, 7)
-        bundle = correlation_bundle(scores, data.y, with_omega=True)
-        s_pls = fit_pls(bundle).s[0]
-        s_cca = fit_cca(bundle).s[0]
+        s_pls = fit_pls(scores, data.y).s[0]
+        s_cca = fit_cca(scores, data.y).s[0]
         lv1[seed] = (s_pls, s_cca)
         ok = ok and abs(s_pls - s_cca) < 0.01
         ok = ok and 0.40 <= s_pls <= 0.50 and 0.40 <= s_cca <= 0.50
@@ -328,7 +325,7 @@ def test_criterion_8_oracle_equivalences():
         y = 0.3 * x @ rng.normal(size=(2, 2)) + rng.normal(size=(n, 2))
         xb = DataBlock(x, ("x1", "x2"))
         yb = DataBlock(y, ("y1", "y2"))
-        lead = fit_cca(correlation_bundle(xb, yb, with_omega=True)).s[0]
+        lead = fit_cca(xb, yb).s[0]
         oracle = grid_max_canonical_correlation(x, y)
         worst_gap = max(worst_gap, abs(lead - oracle))
     ok = worst_gap < 2e-3
@@ -338,22 +335,19 @@ def test_criterion_8_oracle_equivalences():
     for _ in range(20):
         x = DataBlock(rng.normal(size=(50, 5)), tuple("abcde"))
         y = DataBlock(rng.normal(size=(50, 3)), tuple("pqr"))
-        b = correlation_bundle(x, y)
-        frob_gap = max(frob_gap, abs(np.sum(fit_pls(b).s ** 2) - np.sum(b.rxy**2)))
+        rxy = np.corrcoef(x.values, y.values, rowvar=False)[:5, 5:]
+        frob_gap = max(frob_gap, abs(np.sum(fit_pls(x, y).s ** 2) - np.sum(rxy**2)))
     ok = ok and frob_gap < 1e-10
 
     # (c) canonical correlations invariant under invertible block transforms
     inv_gap = 0.0
     x = DataBlock(rng.normal(size=(300, 4)), tuple("abcd"))
     y = DataBlock(rng.normal(size=(300, 3)), tuple("pqr"))
-    s_ref = fit_cca(correlation_bundle(x, y, with_omega=True)).s
+    s_ref = fit_cca(x, y).s
     for _ in range(10):
         tx = random_invertible(rng, 4, float(rng.uniform(2, 1e4)))
         ty = random_invertible(rng, 3, float(rng.uniform(2, 1e4)))
-        s = fit_cca(correlation_bundle(
-            DataBlock(x.values @ tx, x.labels), DataBlock(y.values @ ty, y.labels),
-            with_omega=True,
-        )).s
+        s = fit_cca(DataBlock(x.values @ tx, x.labels), DataBlock(y.values @ ty, y.labels)).s
         inv_gap = max(inv_gap, float(np.abs(s - s_ref).max()))
     ok = ok and inv_gap < 1e-8
 

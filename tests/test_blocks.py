@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from crossblock import DataBlock, correlation_bundle, inverse_sqrt_sym
-from crossblock.blocks import CorrelationBundle, _zscore_values, _zscored
+from crossblock import DataBlock, fit_cca, fit_pls, inverse_sqrt_sym
+from crossblock.blocks import _zscore_values, _zscored
 from crossblock.errors import ConstantColumn, NotPositiveDefinite, ObservationMismatch
 
 from oracles import brute_pearson, inverse_sqrt_reference, random_spd
@@ -107,46 +107,45 @@ class TestZscoreInPlace:
         assert b.values.tobytes() == before and not b.values.flags.writeable
 
 
+def correlations(x, y):
+    """Correlations of X's columns with Y's, as U diag(s) V' of the PLS fit."""
+    m = fit_pls(x, y)
+    return (m.u * m.s) @ m.v.T
+
+
 class TestCorrelationBundle:
+    """The within- and cross-block correlations the fits decompose."""
+
     def test_self_correlation(self):
         x = block([1.0, 2.0, 4.0])
-        b = correlation_bundle(x, x)
-        assert_allclose(b.rxy, [[1.0]], atol=1e-12)
+        assert_allclose(correlations(x, x), [[1.0]], atol=1e-12)
 
     def test_perfect_anticorrelation(self):
-        b = correlation_bundle(block([1.0, 2.0, 3.0]), block([3.0, 2.0, 1.0]))
-        assert_allclose(b.rxy, [[-1.0]], atol=1e-12)
+        r = correlations(block([1.0, 2.0, 3.0]), block([3.0, 2.0, 1.0]))
+        assert_allclose(r, [[-1.0]], atol=1e-12)
 
     def test_hand_pearson_three_points(self):
         x = block([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
-        b = correlation_bundle(x, block([2.0, 2.5, 9.0]))
-        assert_allclose(b.rxx[0, 1], 0.5, atol=1e-12)
+        rxx = correlations(x, x)
+        assert_allclose(rxx[0, 1], 0.5, atol=1e-12)
         assert_allclose(
-            b.rxx[0, 1], brute_pearson([1, 2, 3], [1, 3, 2]), atol=1e-12
+            rxx[0, 1], brute_pearson([1, 2, 3], [1, 3, 2]), atol=1e-12
         )
 
     def test_observation_mismatch(self):
-        with pytest.raises(ObservationMismatch):
-            correlation_bundle(block([1.0, 2.0, 3.0]), block([1.0, 2.0]))
-
-    def test_ryx_exact_transpose(self):
-        rng = np.random.default_rng(1)
-        b = correlation_bundle(
-            block(*rng.normal(size=(3, 20))), block(*rng.normal(size=(2, 20)))
-        )
-        assert np.array_equal(b.ryx, b.rxy.T)
+        for fit in (fit_pls, fit_cca):
+            with pytest.raises(ObservationMismatch):
+                fit(block([1.0, 2.0, 3.0]), block([1.0, 2.0]))
 
     def test_bundle_invariants(self):
         rng = np.random.default_rng(7)
-        b = correlation_bundle(
-            block(*rng.normal(size=(4, 60))), block(*rng.normal(size=(3, 60))),
-            with_omega=True,
-        )
-        for m in (b.rxx, b.ryy):
+        x = block(*rng.normal(size=(4, 60)))
+        y = block(*rng.normal(size=(3, 60)))
+        for m in (correlations(x, x), correlations(y, y)):
             assert np.abs(m - m.T).max() < 1e-10
             assert np.abs(np.diag(m) - 1).max() < 1e-10
-        assert np.abs(b.rxy).max() <= 1 + 1e-10
-        assert b.omega is not None
+        assert np.abs(correlations(x, y)).max() <= 1 + 1e-10
+        assert fit_cca(x, y).r == 3
 
     def test_omega_equals_rxy_for_identity_within_block(self):
         from crossblock import component_scores, fit_pca
@@ -156,35 +155,28 @@ class TestCorrelationBundle:
         y = block(*rng.normal(size=(3, 200)))
         sx = component_scores(x, fit_pca(x), 4)
         sy = component_scores(y, fit_pca(y), 3)
-        b = correlation_bundle(sx, sy, with_omega=True)
-        assert np.abs(b.omega - b.rxy).max() < 1e-10
+        cca = fit_cca(sx, sy)
+        assert np.abs((cca.u * cca.s) @ cca.v.T - correlations(sx, sy)).max() < 1e-10
 
     def test_correlation_equals_covariance_of_zscored(self):
         rng = np.random.default_rng(11)
         x = block(*rng.normal(size=(5, 80)))
         y = block(*rng.uniform(size=(2, 80)))
-        b = correlation_bundle(x, y)
         xz = _zscored(x.values)
         yz = _zscored(y.values)
-        assert np.abs(b.rxy - xz.T @ yz / 79).max() < 1e-12
+        assert np.abs(correlations(x, y) - xz.T @ yz / 79).max() < 1e-12
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(13)
         base = rng.normal(size=(50, 3))
         y = block(*rng.normal(size=(2, 50)))
-        ref = correlation_bundle(block(*base.T), y)
+        ref = correlations(block(*base.T), y)
         for seed in range(5):
             r = np.random.default_rng(seed)
             scale = r.uniform(0.1, 10, 3)
             shift = r.normal(0, 100, 3)
-            moved = correlation_bundle(block(*(base * scale + shift).T), y)
-            assert np.abs(moved.rxy - ref.rxy).max() < 1e-10
-
-    def test_validation_rejects_bad_ryx(self):
-        eye = np.eye(2)
-        rxy = np.array([[0.5, 0.0], [0.0, 0.1]])
-        with pytest.raises(ValueError, match="transpose"):
-            CorrelationBundle(rxx=eye, ryy=eye, rxy=rxy, ryx=rxy + 1e-15)
+            moved = correlations(block(*(base * scale + shift).T), y)
+            assert np.abs(moved - ref).max() < 1e-10
 
 
 class TestInverseSqrt:

@@ -1,26 +1,36 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import hadamard
 
 from crossblock import (
     DataBlock,
     align_reflections,
-    correlation_bundle,
     fit_cca,
     fit_pls,
 )
-from crossblock.blocks import CorrelationBundle
-from crossblock.errors import MissingOmega, ShapeMismatch
+from crossblock.errors import RankDeficient, ShapeMismatch
 
 from oracles import brute_pearson, grid_max_canonical_correlation, random_invertible
 
 
-def bundle_from(rxy, rxx=None, ryy=None, omega=None):
-    p, q = np.asarray(rxy).shape
-    rxx = np.eye(p) if rxx is None else rxx
-    ryy = np.eye(q) if ryy is None else ryy
+def blocks_with_correlations(rxy):
+    """X and Y of 8 rows whose sample cross-correlations are rxy: X holds p
+    columns of a Hadamard matrix (orthogonal, each summing to zero; the
+    all-ones column is left out), and Y = X rxy plus, per column, a further
+    Hadamard column scaled so that each Y column has X's norm."""
     rxy = np.asarray(rxy, dtype=float)
-    return CorrelationBundle(rxx=rxx, ryy=ryy, rxy=rxy, ryx=rxy.T.copy(), omega=omega)
+    p, q = rxy.shape
+    h = hadamard(8).astype(float)[:, 1:]
+    xv = h[:, :p]
+    yv = xv @ rxy + h[:, p : p + q] * np.sqrt(1.0 - np.square(rxy).sum(axis=0))
+    return (DataBlock(xv, tuple(f"x{i}" for i in range(p))),
+            DataBlock(yv, tuple(f"y{i}" for i in range(q))))
+
+
+def cross_correlations(x, y):
+    """Pearson correlations of X's columns with Y's, by ``np.corrcoef``."""
+    return np.corrcoef(x.values, y.values, rowvar=False)[: x.k, x.k :]
 
 
 def gaussian_blocks(seed, n, p, q):
@@ -32,17 +42,17 @@ def gaussian_blocks(seed, n, p, q):
 
 class TestFitPls:
     def test_scalar(self):
-        m = fit_pls(bundle_from([[0.5]]))
+        m = fit_pls(*blocks_with_correlations([[0.5]]))
         assert_allclose(m.s, [0.5])
         assert_allclose(np.abs(m.u), [[1.0]])
         assert_allclose(np.abs(m.v), [[1.0]])
 
     def test_zero_matrix(self):
-        m = fit_pls(bundle_from(np.zeros((3, 2))))
+        m = fit_pls(*blocks_with_correlations(np.zeros((3, 2))))
         assert_allclose(m.s, 0.0, atol=1e-15)
 
     def test_diagonal_by_inspection(self):
-        m = fit_pls(bundle_from([[0.3, 0.0], [0.0, 0.1]]))
+        m = fit_pls(*blocks_with_correlations([[0.3, 0.0], [0.0, 0.1]]))
         assert_allclose(m.s, [0.3, 0.1], atol=1e-15)
         assert_allclose(np.abs(m.u), np.eye(2), atol=1e-12)
         assert_allclose(np.abs(m.v), np.eye(2), atol=1e-12)
@@ -51,22 +61,20 @@ class TestFitPls:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x, y = gaussian_blocks(rng.integers(1 << 30), 40, 5, 3)
-            b = correlation_bundle(x, y)
-            m = fit_pls(b)
-            assert abs(np.sum(m.s**2) - np.sum(b.rxy**2)) < 1e-10
+            m = fit_pls(x, y)
+            assert abs(np.sum(m.s**2) - np.sum(cross_correlations(x, y)**2)) < 1e-10
 
     def test_orientation_deterministic(self):
         rng = np.random.default_rng(9)
         x, y = gaussian_blocks(rng.integers(1 << 30), 60, 4, 3)
-        m = fit_pls(correlation_bundle(x, y))
+        m = fit_pls(x, y)
         lead = np.argmax(np.abs(m.u), axis=0)
         assert np.all(m.u[lead, np.arange(m.r)] > 0)
 
     def test_reconstruction(self):
         x, y = gaussian_blocks(42, 50, 5, 4)
-        b = correlation_bundle(x, y)
-        m = fit_pls(b)
-        assert np.abs(m.u @ np.diag(m.s) @ m.v.T - b.rxy).max() < 1e-8
+        m = fit_pls(x, y)
+        assert np.abs(m.u @ np.diag(m.s) @ m.v.T - cross_correlations(x, y)).max() < 1e-8
 
 
 class TestFitCca:
@@ -76,13 +84,20 @@ class TestFitCca:
         yv = 0.4 * xv + rng.normal(size=60)
         x = DataBlock(xv[:, None], ("x",))
         y = DataBlock(yv[:, None], ("y",))
-        m = fit_cca(correlation_bundle(x, y, with_omega=True))
+        m = fit_cca(x, y)
         assert_allclose(m.s[0], abs(brute_pearson(xv, yv)), atol=1e-12)
 
-    def test_missing_omega(self):
+    def test_rank_deficient_block_is_named(self):
         x, y = gaussian_blocks(3, 30, 3, 2)
-        with pytest.raises(MissingOmega):
-            fit_cca(correlation_bundle(x, y))
+        for name in ("x", "y"):
+            collinear = {"x": x, "y": y}
+            block = collinear[name]
+            values = np.column_stack([block.values, block.values.sum(axis=1)])
+            collinear[name] = DataBlock(values, block.labels + ("sum",))
+            with pytest.raises(RankDeficient) as err:
+                fit_cca(collinear["x"], collinear["y"])
+            assert err.value.block == name
+            fit_pls(collinear["x"], collinear["y"])  # PLS inverts no within-block matrix
 
     def test_identity_within_block_matches_pls(self):
         from crossblock import component_scores, fit_pca
@@ -90,43 +105,42 @@ class TestFitCca:
         x, y = gaussian_blocks(10, 150, 4, 3)
         sx = component_scores(x, fit_pca(x), 4)
         sy = component_scores(y, fit_pca(y), 3)
-        b = correlation_bundle(sx, sy, with_omega=True)
-        assert np.abs(fit_cca(b).s - fit_pls(b).s).max() < 1e-10
+        assert np.abs(fit_cca(sx, sy).s - fit_pls(sx, sy).s).max() < 1e-10
 
     def test_grid_search_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(8):
             x, y = gaussian_blocks(rng.integers(1 << 30), 120, 2, 2)
-            m = fit_cca(correlation_bundle(x, y, with_omega=True))
+            m = fit_cca(x, y)
             oracle = grid_max_canonical_correlation(x.values, y.values)
             assert abs(m.s[0] - oracle) < 2e-3
 
     def test_invariance_under_invertible_transforms(self):
         rng = np.random.default_rng(33)
         x, y = gaussian_blocks(6, 200, 4, 3)
-        s_ref = fit_cca(correlation_bundle(x, y, with_omega=True)).s
+        s_ref = fit_cca(x, y).s
         for _ in range(5):
             tx = random_invertible(rng, 4, float(rng.uniform(2, 1e4)))
             ty = random_invertible(rng, 3, float(rng.uniform(2, 1e4)))
             xt = DataBlock(x.values @ tx, x.labels)
             yt = DataBlock(y.values @ ty, y.labels)
-            s = fit_cca(correlation_bundle(xt, yt, with_omega=True)).s
+            s = fit_cca(xt, yt).s
             assert np.abs(s - s_ref).max() < 1e-8
 
     def test_pls_not_invariant_under_mixing(self):
         rng = np.random.default_rng(44)
         x, y = gaussian_blocks(5, 200, 4, 3)
-        s_ref = fit_pls(correlation_bundle(x, y)).s
+        s_ref = fit_pls(x, y).s
         tx = random_invertible(rng, 4, 50.0)
         xt = DataBlock(x.values @ tx, x.labels)
-        s = fit_pls(correlation_bundle(xt, y)).s
+        s = fit_pls(xt, y).s
         assert np.abs(s - s_ref).max() > 1e-4
 
     def test_unit_bound(self):
         rng = np.random.default_rng(55)
         xv = rng.normal(size=(40, 3))
         y = DataBlock(xv @ rng.normal(size=(3, 3)), ("a", "b", "c"))
-        m = fit_cca(correlation_bundle(DataBlock(xv, ("p", "q", "r")), y, with_omega=True))
+        m = fit_cca(DataBlock(xv, ("p", "q", "r")), y)
         assert np.all(m.s <= 1.0 + 1e-10)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from crossblock import (
     SimulationSpec,
     bartlett_test,
     bootstrap_ci,
+    fit_cca,
     generate_null,
     generate_relevant_subspace,
     permutation_test,
@@ -248,6 +250,19 @@ class TestBartlett:
         assert any(stat == 0.0 and pv == 1.0 for stat, pv in checked)
         assert any(stat > 0 and pv == 0.0 for stat, pv in checked)
         assert any(0.0 < pv < 1.0 for _, pv in checked)
+
+    def test_canonical_correlations_of_one_read_p_zero(self):
+        # X against itself: every canonical correlation is 1, and can come out above it
+        # by roundoff (the leading one does here); ``above`` holds such a value outright
+        x = DataBlock(np.random.default_rng(0).normal(size=(60, 5)), tuple("abcde"))
+        model = fit_cca(x, x)
+        above = cca_model_with_s([1 + 4e-16, 0.5], p=3, q=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tests = bartlett_test(model, n=60, p=5, q=5).tests
+            first = bartlett_test(above, n=60, p=3, q=2).tests[0]
+        assert [t.p_value for t in tests] == [0.0] * 5
+        assert first.p_value == 0.0
 
     def test_rejects_pls(self):
         u = np.eye(3)[:, :2]

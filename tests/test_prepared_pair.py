@@ -16,7 +16,6 @@ from crossblock import (
     DataBlock,
     SimulationSpec,
     bootstrap_ci,
-    correlation_bundle,
     fit_cca,
     generate_relevant_subspace,
     permutation_test,
@@ -61,7 +60,7 @@ def test_near_collinear_cca_matches_the_qr_oracle():
     _, s, _, _, (error,) = _fit_zscored(pair, pair.sums())
     assert error is None
     for got in (s, permutation_test(x, y, CCA, n_perm=1).observed_s,
-                fit_cca(correlation_bundle(x, y, with_omega=True)).s):
+                fit_cca(x, y).s):
         assert np.abs(got - exact).max() <= QR_TOL
     observed = bootstrap_ci(x, y, CCA, n_boot=100, seed=1).observed_us
     assert np.abs(np.linalg.norm(observed, axis=0) - exact).max() <= QR_TOL

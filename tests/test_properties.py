@@ -4,8 +4,8 @@ These hold for any correct arithmetic, so they carry across a change of
 numerics where bit-level pins cannot. Shapes cover p > q, p < q and n close
 to the larger block (for CCA, n - 1 below p + q forces canonical
 correlations of 1). The fit is read through the public API twice: the
-correlation-bundle fit (U, s, V) and the permutation test's observed
-singular values.
+fit of the whole pair (``fit_pls`` or ``fit_cca``: U, s, V) and the
+permutation test's observed singular values.
 
 Singular vectors are identified only up to a joint sign per LV, and only
 where the singular value is separated from its neighbours, so vectors are
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossblock import DataBlock, correlation_bundle, fit_cca, fit_pls, permutation_test
+from crossblock import DataBlock, fit_cca, fit_pls, permutation_test
 from crossblock.decomposition import CCA, METHODS, PLS
 
 S_TOL = 1e-9     # singular values, absolute
@@ -44,10 +44,7 @@ def blocks(n, p, q, seed):
 
 
 def fit(x, y, method):
-    if method == PLS:
-        model = fit_pls(correlation_bundle(x, y))
-    else:
-        model = fit_cca(correlation_bundle(x, y, with_omega=True))
+    model = (fit_pls if method == PLS else fit_cca)(x, y)
     observed = permutation_test(x, y, method, n_perm=1, seed=0).observed_s
     assert np.abs(observed - model.s).max() <= S_TOL
     return model.u, model.s, model.v
