@@ -88,14 +88,14 @@ def _zscore_values(values: np.ndarray):
     return values, constant
 
 
-def _constant_errors(constant: np.ndarray, labels=None) -> list:
+def _constant_errors(constant: np.ndarray, labels: tuple[str, ...]) -> list:
     """Per draw of a constant-column mask: a ConstantColumn naming its first, or None."""
     constant = constant.reshape(-1, constant.shape[-1])
-    return [ConstantColumn(labels[j] if labels is not None else str(j)) if bad else None
+    return [ConstantColumn(labels[j]) if bad else None
             for bad, j in zip(constant.any(axis=-1), constant.argmax(axis=-1))]
 
 
-def _zscored(values: np.ndarray, labels=None) -> np.ndarray:
+def _zscored(values: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
     """Z-scores of one block; ConstantColumn names its first constant column."""
     z, constant = _zscore_values(np.array(values, dtype=np.float64))
     return unwrap(_constant_errors(constant, labels)[0] or z)
@@ -153,17 +153,22 @@ class PreparedPair:
     the z-scores, or (CCA) the z-scores whitened so that each block's Gram
     is (n - 1) I, with ``roots`` holding each block's map B back (z = w B).
     A draw's moments come from ``sums``; PLS's hold no within-block products.
-    ``data`` and ``roots`` are read-only, so resamplers may share a pair.
+    ``x`` and ``y`` are the blocks it was prepared from; only those are fitted
+    from it. ``data`` and ``roots`` are read-only, so resamplers may share a pair.
     """
 
     data: np.ndarray
-    p: int
-    labels: tuple[str, ...]
+    x: DataBlock
+    y: DataBlock
     roots: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         for m in (self.data, *(self.roots or ())):
             m.setflags(write=False)
+
+    @property
+    def p(self) -> int:
+        return self.x.k
 
     def sums(self, rows=slice(None), y_rows=None) -> np.ndarray:
         """``_row_sums`` over all rows or, a row weighted by how often its draw takes it, over
@@ -230,15 +235,14 @@ def prepare_pair(x: DataBlock, y: DataBlock, whiten: bool = False) -> PreparedPa
     """
     if x.n != y.n:
         raise ObservationMismatch(f"x has {x.n} rows, y has {y.n}")
-    labels = x.labels + y.labels
     data = np.empty((x.n, 1 + x.k + y.k))
     data[:, 0] = 1.0
     data[:, 1 : 1 + x.k] = x.values
     data[:, 1 + x.k :] = y.values
     _, constant = _zscore_values(data[:, 1:])
-    unwrap(_constant_errors(constant, labels)[0])
+    unwrap(_constant_errors(constant, x.labels + y.labels)[0])
     if not whiten:
-        return PreparedPair(data, x.k, labels)
+        return PreparedPair(data, x, y)
     blocks = [data[:, 1:][:, part] for part in _parts(x.k)]
     r = [_within_correlation(z) for z in blocks]
     *first, error = _adjustment_roots(*r)
@@ -249,4 +253,4 @@ def prepare_pair(x: DataBlock, y: DataBlock, whiten: bool = False) -> PreparedPa
         second = np.linalg.cholesky(_within_correlation(z)).T  # upper: second' second = Gram / (n - 1)
         z[:] = z @ np.linalg.inv(second)
         roots.append(second @ (rz @ a))  # z = w @ second @ R^(1/2), R^(1/2) = R @ R^(-1/2)
-    return PreparedPair(data, x.k, labels, tuple(roots))
+    return PreparedPair(data, x, y, tuple(roots))

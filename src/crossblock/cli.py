@@ -37,7 +37,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    _resolve_n_keep,
     run_detectability,
     run_false_positive_sweep,
     run_full_sample,
@@ -62,7 +61,7 @@ from .io import (
     write_report,
 )
 from .parallel import default_threads
-from .pca import component_scores, fit_pca, pca_stability
+from .pca import VARIANCE_TARGET, _resolve_n_keep, component_scores, fit_pca, pca_stability
 from .reproducibility import null_calibration, split_half, train_test
 
 EXIT_OK = 0
@@ -256,7 +255,7 @@ def _pca_pre(raw):
     if raw is None:
         return None
     if raw == "auto":
-        return 0.98
+        return VARIANCE_TARGET
     try:
         value = float(raw)
     except ValueError:
@@ -407,7 +406,7 @@ def _cmd_pca(args) -> int:
     if args.task == "scores":
         x = load_csv(args.x)
         model = fit_pca(x)
-        n_keep = _resolve_n_keep(_pca_pre(eff["pca_components"]), model)
+        n_keep = _resolve_n_keep(_pca_pre(eff["pca_components"]), model.variance_fraction)
         scores = component_scores(x, model, n_keep)
         out = Path(args.scores_out) if args.scores_out else Path(eff["out_dir"]) / "scores.csv"
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -180,14 +180,15 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray, fit=..., basis=...):
     """
     cov, sd, constant = pair.moments(sums)
     x, y = _parts(pair.p)
+    labels = pair.x.labels + pair.y.labels
     if pair.roots is None:
         m = cov / (sd[..., x, None] * sd[..., None, y])
         u, s, v = (None,) * 3 if fit is None else _oriented_svd(m[fit])
-        return u, s, v, None if basis is None else m[basis], _constant_errors(constant, pair.labels)
+        return u, s, v, None if basis is None else m[basis], _constant_errors(constant, labels)
     factors = [_gram_factor(cov[..., part, part]) for part in (x, y)]
     fbs = [f @ root for f, root in zip(factors, pair.roots)]
     sd, constant = _draw_sd(np.concatenate([np.square(fb).sum(axis=-2) for fb in fbs], axis=-1))
-    errors = _constant_errors(constant, pair.labels)
+    errors = _constant_errors(constant, labels)
     k, polars = cov[..., x, y], []
     for name, part, f, fb in zip("xy", (x, y), factors, fbs):
         ul, sl, vlt = np.linalg.svd(fb / sd[..., None, part])
@@ -212,16 +213,16 @@ def _fit_zscored(pair: PreparedPair, sums: np.ndarray, fit=..., basis=...):
 def _pair_for(x, y, method: str, pair: PreparedPair | None = None) -> PreparedPair:
     """The pair ``method`` fits x and y from: ``pair``, which must be what
     ``prepare_pair(x, y, whiten=method == CCA)`` returned, or, when None, a
-    new one. An unknown method, or a pair whose basis, rows or columns
-    differ, raises ValueError."""
+    new one. An unknown method, or a pair of the other basis or prepared
+    from other blocks than x and y, raises ValueError."""
     method = check_method(method)
     if pair is None:
         return prepare_pair(x, y, whiten=method == CCA)
     basis = ("z-scored (PLS)", "whitened (CCA)")
-    facts = (("basis", basis[pair.roots is not None], basis[method == CCA]),
-             ("X rows", len(pair.data), x.n), ("Y rows", len(pair.data), y.n),
-             ("X columns", pair.p, x.k), ("Y columns", pair.data.shape[1] - 1 - pair.p, y.k))
-    differ = [f"{name} {have}, the call needs {want}" for name, have, want in facts if have != want]
+    have, want = basis[pair.roots is not None], basis[method == CCA]
+    differ = [f"basis {have}, the call needs {want}"] if have != want else []
+    if pair.x is not x or pair.y is not y:
+        differ.append("it was prepared from other blocks")
     if differ:
         raise ValueError("prepared pair does not match: " + "; ".join(differ))
     return pair

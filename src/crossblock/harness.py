@@ -54,7 +54,7 @@ from .inference import (
     permutation_test,
 )
 from .parallel import map_draws
-from .pca import PcaModel, align_to_reference, component_scores, fit_pca
+from .pca import PcaModel, _resolve_n_keep, align_to_reference, component_scores, fit_pca
 from .reproducibility import (
     SplitHalfReport,
     TrainTestReport,
@@ -94,6 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(check_method(m) for m in self.methods))
         if not self.sample_sizes or any(s < 2 for s in self.sample_sizes):
             raise ValueError("sample_sizes must list at least one size, each at least 2")
+        for i, size in enumerate(self.sample_sizes):
+            if size in self.sample_sizes[:i]:
+                raise ValueError(f"sample size {size} is listed more than once")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         for name in ("n_iterations", "n_perm"):
@@ -201,22 +204,12 @@ def split_half_lv_z(report: SplitHalfReport) -> np.ndarray:
     return np.minimum(report.z_u, report.z_v)
 
 
-def _resolve_n_keep(pca_pre, model: PcaModel) -> int:
-    """Retained component count: an int is capped at the component count, a
-    fraction is a cumulative variance target, None keeps ``model.n_kept``."""
-    if pca_pre is None:
-        return model.n_kept
-    if isinstance(pca_pre, int):
-        return min(pca_pre, model.k)
-    return int(np.searchsorted(model.variance_fraction, pca_pre - 1e-12) + 1)
-
-
 def _reduce_x(x: DataBlock, config: ExperimentConfig):
     """Population PCA reduction of the X block when configured."""
     if config.pca_pre is None:
         return x, None, None
     model = fit_pca(x)
-    n_keep = _resolve_n_keep(config.pca_pre, model)
+    n_keep = _resolve_n_keep(config.pca_pre, model.variance_fraction)
     return component_scores(x, model, n_keep), model, n_keep
 
 
@@ -344,7 +337,7 @@ def _sweep(x, y, config, kind, evaluate, summarize) -> SubsampleReport:
     pca_reference = None
     if config.pca_pre is not None:
         pop_model = fit_pca(x)
-        pca_reference = (pop_model, _resolve_n_keep(config.pca_pre, pop_model))
+        pca_reference = (pop_model, _resolve_n_keep(config.pca_pre, pop_model.variance_fraction))
     p_effective = pca_reference[1] if pca_reference else x.k
     r = min(p_effective, y.k)
     cells = []

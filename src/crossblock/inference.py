@@ -258,24 +258,20 @@ def bootstrap_ci(
     )
 
 
-def bartlett_test(model: CrossBlockModel, n: int, p: int, q: int) -> BartlettResult:
-    """Chi-square tests of the nested null hypotheses for a CCA model.
+def bartlett_test(model: CrossBlockModel, n: int) -> BartlettResult:
+    """Chi-square tests of the nested null hypotheses for a CCA model fitted on n rows.
 
     The test starting at LV k asks whether canonical correlations k..r are
     jointly zero: chi_square = -(n - 1 - (p + q + 1)/2) * sum_{i>=k}
-    ln(1 - s_i^2) on (p - k + 1)(q - k + 1) degrees of freedom, with the
-    p-value from the upper tail. scipy is imported when a test runs, not at
-    module load, so that commands that never run this test do not pay for it;
-    ``chdtrc`` is the function ``scipy.stats.chi2.sf`` evaluates.
+    ln(1 - s_i^2) on (p - k + 1)(q - k + 1) degrees of freedom, p and q being
+    the rows of the model's u and v, with the p-value from the upper tail.
+    scipy is imported when a test runs, not at module load, so that commands
+    that never run this test do not pay for it; ``chdtrc`` is the function
+    ``scipy.stats.chi2.sf`` evaluates.
     """
     if model.method != CCA:
         raise MethodMismatch("the chi-square test applies to CCA models only")
-    if p != model.u.shape[0] or q != model.v.shape[0]:
-        raise ValueError(
-            f"stated dimensions ({p}, {q}) do not match the model "
-            f"({model.u.shape[0]}, {model.v.shape[0]})"
-        )
-    return _bartlett(model.s, n, p, q)
+    return _bartlett(model.s, n, model.u.shape[0], model.v.shape[0])
 
 
 def _bartlett(s: np.ndarray, n: int, p: int, q: int) -> BartlettResult:

@@ -36,33 +36,29 @@ SCHEMA_VERSION = 1
 # CSV data blocks
 # ---------------------------------------------------------------------------
 
-def load_csv(path, header: bool = True) -> DataBlock:
+def load_csv(path) -> DataBlock:
     """Read a rectangular numeric CSV file into a DataBlock.
 
-    The first non-blank row is treated as the header unless ``header`` is
-    False, in which case labels v1..vk are synthesized. The header is read
-    with ``csv``; the body is parsed in one ``np.loadtxt`` call. When that
-    fast parse fails (a cell it cannot read, a row width that differs from
-    the header, no data rows, or a non-finite value), the file is scanned
-    again cell by cell with ``csv`` and ``float``. The scan accepts what
-    the fast parse does not (quoted numbers, ``1_000``, non-ASCII digits)
-    and is the one place that rejects a file: ``EmptyFile`` when there are
-    no data rows, ``RaggedRows`` with the row of the first row whose width
-    differs, and ``NonNumericCell`` with the row and column of the first
-    empty, non-numeric or non-finite cell. Coordinates are 1-based and
-    count every row of the file, the header and blank rows included.
+    The first non-blank row is the header; it is read with ``csv``, and the
+    body is parsed in one ``np.loadtxt`` call. When that fast parse fails
+    (a cell it cannot read, a row width that differs from the header, no
+    data rows, or a non-finite value), the file is scanned again cell by
+    cell with ``csv`` and ``float``. The scan accepts what the fast parse
+    does not (quoted numbers, ``1_000``, non-ASCII digits) and is the one
+    place that rejects a file: ``EmptyFile`` when there are no data rows,
+    ``RaggedRows`` with the row of the first row whose width differs, and
+    ``NonNumericCell`` with the row and column of the first empty,
+    non-numeric or non-finite cell. Coordinates are 1-based and count every
+    row of the file, the header and blank rows included.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if header:
-            # readline, not iteration, so that fh.tell() stays usable
-            reader = csv.reader(iter(fh.readline, ""))
-            labels = tuple(c.strip() for c in next((r for r in reader if r), ()))
+        # readline, not iteration, so that fh.tell() stays usable
+        reader = csv.reader(iter(fh.readline, ""))
+        labels = tuple(c.strip() for c in next((r for r in reader if r), ()))
         values = _parse_body(fh)
-    if not header and values is not None:
-        labels = tuple(f"v{j + 1}" for j in range(values.shape[1]))
     if values is None or values.shape[1] != len(labels):
-        return _scan_csv(path, header)
+        return _scan_csv(path)
     return DataBlock(values, labels)
 
 
@@ -80,18 +76,14 @@ def _parse_body(fh):
     return values if np.isfinite(values).all() else None
 
 
-def _scan_csv(path: Path, header: bool) -> DataBlock:
+def _scan_csv(path: Path) -> DataBlock:
     """Parse cell by cell, raising ParseErrors with 1-based file coordinates."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [(i, r) for i, r in enumerate(csv.reader(fh), 1) if r]
     if not rows:
         raise EmptyFile(f"{path} contains no data")
-    if header:
-        labels = tuple(c.strip() for c in rows[0][1])
-        body = rows[1:]
-    else:
-        labels = tuple(f"v{j + 1}" for j in range(len(rows[0][1])))
-        body = rows
+    labels = tuple(c.strip() for c in rows[0][1])
+    body = rows[1:]
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
     width = len(labels)
@@ -318,7 +310,7 @@ def pca_stability_section(result: PcaStabilityResult) -> dict:
     }
 
 
-def full_sample_section(result: FullSampleResult, include_draws: bool = False) -> dict:
+def full_sample_section(result: FullSampleResult) -> dict:
     per_method = {}
     for entry in result.per_method:
         if entry.status != "ok":
@@ -328,8 +320,8 @@ def full_sample_section(result: FullSampleResult, include_draws: bool = False) -
             "status": entry.status,
             "permutation": permutation_section(entry.permutation),
             "bootstrap": bootstrap_section(entry.bootstrap, result.x_labels, result.y_labels),
-            "train_test": train_test_section(entry.train_test_report, include_draws),
-            "split_half": split_half_section(entry.split_half_report, include_draws),
+            "train_test": train_test_section(entry.train_test_report, include_draws=False),
+            "split_half": split_half_section(entry.split_half_report, include_draws=False),
         }
         if entry.bartlett is not None:
             section["bartlett"] = bartlett_section(entry.bartlett)

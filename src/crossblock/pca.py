@@ -55,7 +55,20 @@ class PcaModel:
         return self.eigenvalues.shape[0]
 
 
-def _fit_values(values: np.ndarray, variance_target: float, labels=None) -> PcaModel:
+# The variance share fit_pca's ``n_kept`` reaches and ``--pca-components auto`` asks for.
+VARIANCE_TARGET = 0.98
+
+
+def _resolve_n_keep(pca_pre: int | float | None, fraction: np.ndarray) -> int:
+    """Component count ``pca_pre`` keeps of a fit with cumulative variance ``fraction``:
+    an int capped at their count, a fraction as a variance target, None as ``n_kept``."""
+    if isinstance(pca_pre, int):
+        return min(pca_pre, len(fraction))
+    target = VARIANCE_TARGET if pca_pre is None else pca_pre
+    return min(int(np.searchsorted(fraction, target - 1e-12) + 1), len(fraction))
+
+
+def _fit_values(values: np.ndarray, labels: tuple[str, ...]) -> PcaModel:
     unwrap(_constant_errors(values.std(axis=0, ddof=1) < _CONSTANT_SD, labels)[0])
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / (values.shape[0] - 1)
@@ -64,38 +77,32 @@ def _fit_values(values: np.ndarray, variance_target: float, labels=None) -> PcaM
     w = np.maximum(w[order], 0.0)
     v = v[:, order]
     fraction = np.cumsum(w) / np.sum(w)
-    n_kept = int(np.searchsorted(fraction, variance_target - 1e-12) + 1)
     return PcaModel(
         eigenvectors=v,
         eigenvalues=w,
         variance_fraction=fraction,
-        n_kept=min(n_kept, w.shape[0]),
+        n_kept=_resolve_n_keep(VARIANCE_TARGET, fraction),
     )
 
 
-def fit_pca(block: DataBlock, variance_target: float = 0.98) -> PcaModel:
+def fit_pca(block: DataBlock) -> PcaModel:
     """Eigendecomposition of the block's covariance (columns centered).
 
     ``n_kept`` is set to the smallest component count whose cumulative
-    explained-variance fraction reaches ``variance_target``; pass a
-    different target or override the count at score time.
+    explained-variance fraction reaches ``VARIANCE_TARGET`` (98%); pass a
+    different count to ``component_scores``.
     """
-    if not 0 < variance_target <= 1:
-        raise ValueError("variance_target must be in (0, 1]")
-    return _fit_values(block.values, variance_target, block.labels)
+    return _fit_values(block.values, block.labels)
 
 
-def component_scores(block: DataBlock, model: PcaModel, n_keep: int | None = None) -> DataBlock:
+def component_scores(block: DataBlock, model: PcaModel, n_keep: int) -> DataBlock:
     """Project the block onto the first ``n_keep`` components.
 
     The score columns are re-standardized to unit variance, so the returned
-    block's correlation matrix is the identity. Defaults to the model's
-    ``n_kept``.
+    block's correlation matrix is the identity.
     """
     if model.k != block.k:
         raise ShapeMismatch(f"model has {model.k} components, block has {block.k} columns")
-    if n_keep is None:
-        n_keep = model.n_kept
     if not 1 <= n_keep <= model.k:
         raise ValueError(f"n_keep must be in [1, {model.k}], got {n_keep}")
     centered = block.values - block.values.mean(axis=0)
@@ -171,9 +178,11 @@ def pca_stability(
     n = population.n
     if n_pc < 1 or n_pc > pop.k:
         raise ValueError(f"n_pc (--pca-components, default 2) must be in [1, {pop.k}]")
-    for size in sample_sizes:
+    for i, size in enumerate(sample_sizes):
         if not 2 <= size <= n:
             raise ValueError(f"sample size {size} not in [2, {n}]")
+        if size in sample_sizes[:i]:
+            raise ValueError(f"sample size {size} is listed more than once")
     ref = pop.eigenvectors[:, :n_pc]
     values = population.values
 
@@ -190,7 +199,8 @@ def pca_stability(
 
         def one(d):
             idx, orientation = d
-            vecs = _fit_values(values.take(idx, axis=0), 0.98).eigenvectors * orientation
+            vecs = _fit_values(values.take(idx, axis=0), population.labels).eigenvectors
+            vecs = vecs * orientation
             if with_alignment:
                 cosines = np.einsum("ij,ij->j", pop.eigenvectors, vecs)
                 vecs = vecs * np.where(cosines < 0, -1.0, 1.0)

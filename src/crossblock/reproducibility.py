@@ -118,16 +118,21 @@ def _split_stack(pair, full, start, draws, reports, out):
     return [e1 or e2 for e1, e2 in zip(errors[:b], errors[b:])]
 
 
+# The report types each purpose's splits give; null calibration reorders Y first.
+_REPORTS = {"train-test": (TrainTestReport,), "split-half": (SplitHalfReport,),
+            "null-calibration": (TrainTestReport, SplitHalfReport)}
+
+
 def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: int,
-                   purpose: str, threads: int, pair, reports, null: bool = False):
-    """The ``reports`` (a tuple of report types) of one batch of partitions.
+                   purpose: str, threads: int, pair):
+    """The reports ``_REPORTS`` lists for ``purpose``, of one batch of partitions.
 
     Draw i is the i-th array of row permutations from the (seed, purpose)
-    generator: the partition, preceded under ``null`` by a reordering of Y.
+    generator: the partition, preceded for null calibration by a reordering of Y.
     Each stack of draws is evaluated at once from the moments of the pair
     (``pair``, checked, or one prepared here); a split failing the rank
     guard or hitting a constant column counts in ``n_failed``. Returns the
-    reports in the order asked; when every split fails, the first split's
+    reports in that order; when every split fails, the first split's
     own error is raised, so the message names the block and the cause.
     """
     pair = _pair_for(x, y, method, pair)
@@ -135,6 +140,7 @@ def _split_reports(x: DataBlock, y: DataBlock, method: str, n_split: int, seed: 
         raise ValueError("need at least 4 rows to form two halves of 2")
     if n_split < 2:
         raise ValueError("n_split (--splits) must be at least 2 for a z score")
+    reports, null = _REPORTS[purpose], purpose == "null-calibration"
     full = pair.sums()
     batch = substream(seed, purpose)
     shape = (2, x.n) if null else (x.n,)
@@ -179,8 +185,7 @@ def train_test(
     first split's RankDeficient or ConstantColumn. ``pair`` is an optional
     shared ``prepare_pair(x, y, whiten=method == CCA)``, checked, never changed.
     """
-    return _split_reports(x, y, method, n_split, seed, "train-test", threads, pair,
-                          (TrainTestReport,))[0]
+    return _split_reports(x, y, method, n_split, seed, "train-test", threads, pair)[0]
 
 
 def split_half(
@@ -199,8 +204,7 @@ def split_half(
     |diag(V1.T V2)|. Failed splits and ``pair`` are handled as in
     ``train_test``.
     """
-    return _split_reports(x, y, method, n_split, seed, "split-half", threads, pair,
-                          (SplitHalfReport,))[0]
+    return _split_reports(x, y, method, n_split, seed, "split-half", threads, pair)[0]
 
 
 def null_calibration(
@@ -223,5 +227,4 @@ def null_calibration(
     how much of an observed z score mere dimensionality produces. ``pair``
     is as in ``train_test``.
     """
-    return tuple(_split_reports(x, y, method, n_split, seed, "null-calibration", threads, pair,
-                                (TrainTestReport, SplitHalfReport), null=True))
+    return tuple(_split_reports(x, y, method, n_split, seed, "null-calibration", threads, pair))

@@ -121,7 +121,7 @@ def test_criterion_1_false_positive_rate():
 def test_criterion_2_bartlett_cross_check():
     s = np.array([0.045, 0.039, 0.022, 0.021, 0.009])
     model = CrossBlockModel(method=CCA, u=np.eye(10)[:, :5], s=s, v=np.eye(5))
-    res = bartlett_test(model, n=10000, p=10, q=5)
+    res = bartlett_test(model, n=10000)
     first = res.tests[0]
     ok = (
         first.df == 50
@@ -139,7 +139,7 @@ def test_criterion_2_bartlett_cross_check():
         m = CrossBlockModel(
             method=CCA, u=np.eye(p)[:, :r], s=np.linspace(0.5, 0.1, r), v=np.eye(q)[:, :r]
         )
-        got = [t.df for t in bartlett_test(m, n=20000, p=p, q=q).tests]
+        got = [t.df for t in bartlett_test(m, n=20000).tests]
         ok = ok and got == expected
     report(
         "2 chi-square cross-check", ok,

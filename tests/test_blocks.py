@@ -42,7 +42,8 @@ class TestDataBlock:
 
 class TestZscore:
     def test_unit_sd_column_unchanged(self):
-        z = _zscored(block([1.0, 2.0, 3.0]).values)
+        b = block([1.0, 2.0, 3.0])
+        z = _zscored(b.values, b.labels)
         assert_allclose(z[:, 0], [-1.0, 0.0, 1.0], atol=1e-14)
 
     def test_constant_column_rejected(self):
@@ -53,7 +54,8 @@ class TestZscore:
 
     def test_mean_four_sd_two(self):
         # hand computation: mean 4, sample sd 2
-        z = _zscored(block([2.0, 4.0, 6.0]).values)
+        b = block([2.0, 4.0, 6.0])
+        z = _zscored(b.values, b.labels)
         assert_allclose(z[:, 0], [-1.0, 0.0, 1.0], atol=1e-14)
 
     def test_moments_and_original_untouched(self):
@@ -162,8 +164,8 @@ class TestCorrelationBundle:
         rng = np.random.default_rng(11)
         x = block(*rng.normal(size=(5, 80)))
         y = block(*rng.uniform(size=(2, 80)))
-        xz = _zscored(x.values)
-        yz = _zscored(y.values)
+        xz = _zscored(x.values, x.labels)
+        yz = _zscored(y.values, y.labels)
         assert np.abs(correlations(x, y) - xz.T @ yz / 79).max() < 1e-12
 
     def test_affine_invariance(self):

@@ -198,14 +198,14 @@ class TestBootstrap:
 class TestBartlett:
     def test_all_zero_singular_values(self):
         model = cca_model_with_s([0.0, 0.0], p=4, q=2)
-        res = bartlett_test(model, n=100, p=4, q=2)
+        res = bartlett_test(model, n=100)
         for t in res.tests:
             assert t.chi_square == 0.0
             assert t.p_value > 0.999
 
     def test_published_null_table_values(self):
         model = cca_model_with_s([0.045, 0.039, 0.022, 0.021, 0.009], p=10, q=5)
-        res = bartlett_test(model, n=10000, p=10, q=5)
+        res = bartlett_test(model, n=10000)
         first = res.tests[0]
         assert first.df == 50
         assert abs(first.chi_square - 46.5) <= 1.0
@@ -223,12 +223,12 @@ class TestBartlett:
     def test_df_sequences(self, p, q, expected):
         r = min(p, q)
         model = cca_model_with_s(np.linspace(0.5, 0.1, r), p=p, q=q)
-        res = bartlett_test(model, n=20000, p=p, q=q)
+        res = bartlett_test(model, n=20000)
         assert [t.df for t in res.tests] == expected
 
     def test_chi_square_monotone(self):
         model = cca_model_with_s([0.6, 0.4, 0.2], p=5, q=3)
-        res = bartlett_test(model, n=500, p=5, q=3)
+        res = bartlett_test(model, n=500)
         stats = [t.chi_square for t in res.tests]
         assert all(a >= b for a, b in zip(stats, stats[1:]))
         assert all(t.chi_square >= 0 for t in res.tests)
@@ -243,7 +243,7 @@ class TestBartlett:
                       np.linspace(0.999999, 0.5, r)):
                 for n in (p + q + 1, 100 + p + q, 10000):
                     model = cca_model_with_s(s, p=p, q=q)
-                    for t in bartlett_test(model, n=n, p=p, q=q).tests:
+                    for t in bartlett_test(model, n=n).tests:
                         expected = float(chi2.sf(t.chi_square, t.df))
                         assert np.float64(t.p_value).tobytes() == np.float64(expected).tobytes()
                         checked.append((t.chi_square, t.p_value))
@@ -259,8 +259,8 @@ class TestBartlett:
         above = cca_model_with_s([1 + 4e-16, 0.5], p=3, q=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tests = bartlett_test(model, n=60, p=5, q=5).tests
-            first = bartlett_test(above, n=60, p=3, q=2).tests[0]
+            tests = bartlett_test(model, n=60).tests
+            first = bartlett_test(above, n=60).tests[0]
         assert [t.p_value for t in tests] == [0.0] * 5
         assert first.p_value == 0.0
 
@@ -268,17 +268,12 @@ class TestBartlett:
         u = np.eye(3)[:, :2]
         model = CrossBlockModel(method=PLS, u=u, s=np.array([0.5, 0.2]), v=np.eye(2))
         with pytest.raises(MethodMismatch):
-            bartlett_test(model, n=100, p=3, q=2)
+            bartlett_test(model, n=100)
 
     def test_requires_enough_observations(self):
         model = cca_model_with_s([0.5], p=3, q=1)
         with pytest.raises(ValueError, match="n > p \\+ q"):
-            bartlett_test(model, n=4, p=3, q=1)
-
-    def test_dimension_cross_check(self):
-        model = cca_model_with_s([0.5], p=3, q=1)
-        with pytest.raises(ValueError, match="do not match"):
-            bartlett_test(model, n=100, p=4, q=1)
+            bartlett_test(model, n=4)
 
 
 def test_importing_the_package_and_cli_leaves_scipy_unloaded():

@@ -47,11 +47,6 @@ class TestLoadCsv:
         assert b.labels == ("a", "b")
         assert_allclose(b.values, [[1, 2], [3, 4], [5, 6]])
 
-    def test_headerless(self, tmp_path):
-        p = write_text(tmp_path / "d.csv", "1,2\n3,4\n")
-        b = load_csv(p, header=False)
-        assert b.labels == ("v1", "v2")
-
     def test_blank_cell_coordinates(self, tmp_path):
         p = write_text(tmp_path / "d.csv", "a,b\n1,2\n3,\n5,6\n")
         with pytest.raises(NonNumericCell) as err:
@@ -112,62 +107,52 @@ class TestLoadCsvFastPath:
 
     @settings(max_examples=60, deadline=None)
     @given(matrix=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2,
-                                                  max_side=6), elements=FINITE),
-           header=st.booleans())
-    def test_random_matrices_load_like_the_scan(self, tmp_path_factory, matrix, header):
+                                                  max_side=6), elements=FINITE))
+    def test_random_matrices_load_like_the_scan(self, tmp_path_factory, matrix):
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         labels = tuple(f"c{j}" for j in range(matrix.shape[1]))
         write_block_csv(DataBlock(matrix, labels), path)
-        if not header:
-            path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1],
-                            encoding="utf-8")
         with mock.patch.object(crossblock_io, "_scan_csv",
                                side_effect=AssertionError("fell back to the scan")):
-            fast = load_csv(path, header=header)
-        scan = crossblock_io._scan_csv(path, header)
+            fast = load_csv(path)
+        scan = crossblock_io._scan_csv(path)
         assert np.array_equal(bits(fast.values), bits(matrix))
         assert np.array_equal(bits(fast.values), bits(scan.values))
-        assert fast.labels == scan.labels
-        assert fast.labels == (labels if header else tuple(
-            f"v{j + 1}" for j in range(matrix.shape[1])))
+        assert fast.labels == scan.labels == labels
 
-    @pytest.mark.parametrize("text,header,expected", [
-        ("a,b\n1,2\n3,\n", True, (NonNumericCell, 3, 2)),
-        ("a,b\n1,2\nx,4\n", True, (NonNumericCell, 3, 1)),
-        ("a,b\n1,2\nnan,4\n", True, (NonNumericCell, 3, 1)),
-        ("a,b\n1,inf\n3,4\n", True, (NonNumericCell, 2, 2)),
-        ("a,b\n1,2\n3,-inf\n", True, (NonNumericCell, 3, 2)),
-        ("a,b\n1,2\n3,1e999\n", True, (NonNumericCell, 3, 2)),
-        ("a,b\n1,2\n3\n", True, (RaggedRows, 3, None)),
-        ("a,b\n1,2\n3,4,5\n", True, (RaggedRows, 3, None)),
-        ("a,b,c\n1,2\n3,4\n", True, (RaggedRows, 2, None)),
-        ("a,b\n1,2\n   \n3,4\n", True, (RaggedRows, 3, None)),
-        ("a,b\n", True, (EmptyFile, None, None)),
-        ("a,b\n\n\r\n", True, (EmptyFile, None, None)),
-        ("", True, (EmptyFile, None, None)),
-        ("\n\n", False, (EmptyFile, None, None)),
+    @pytest.mark.parametrize("text,expected", [
+        ("a,b\n1,2\n3,\n", (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\nx,4\n", (NonNumericCell, 3, 1)),
+        ("a,b\n1,2\nnan,4\n", (NonNumericCell, 3, 1)),
+        ("a,b\n1,inf\n3,4\n", (NonNumericCell, 2, 2)),
+        ("a,b\n1,2\n3,-inf\n", (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\n3,1e999\n", (NonNumericCell, 3, 2)),
+        ("a,b\n1,2\n3\n", (RaggedRows, 3, None)),
+        ("a,b\n1,2\n3,4,5\n", (RaggedRows, 3, None)),
+        ("a,b,c\n1,2\n3,4\n", (RaggedRows, 2, None)),
+        ("a,b\n1,2\n   \n3,4\n", (RaggedRows, 3, None)),
+        ("a,b\n", (EmptyFile, None, None)),
+        ("a,b\n\n\r\n", (EmptyFile, None, None)),
+        ("", (EmptyFile, None, None)),
         # rows are numbered as the file has them, blank rows included
-        ("a,b\n1,2\n\n3,4\n5,x\n", True, (NonNumericCell, 5, 2)),
-        ("\na,b\n1,2\n3,x\n", True, (NonNumericCell, 4, 2)),
-        ("1,2\n\n3,y\n", False, (NonNumericCell, 3, 2)),
-        ('a,b\n"1,5",2\n3,4\n', True, (NonNumericCell, 2, 1)),
-        ("a,b\n1,2\n\n3,4\n\n", True, [[1, 2], [3, 4]]),
-        ("a,b\r\n1,2\r\n3,4\r\n", True, [[1, 2], [3, 4]]),
-        ("a,b\r1,2\r3,4\r", True, [[1, 2], [3, 4]]),
-        ("a , b\n 1 ,2\t\n3, 4 \n", True, [[1, 2], [3, 4]]),
-        ('a,b\n"1.5",2\n3,"-4"\n', True, [[1.5, 2], [3, -4]]),
-        ("a,b\n1_000,2\n3,4\n", True, [[1000, 2], [3, 4]]),
-        ("a,b\n\u0661\u0662,2\n3,\uff14\n", True, [[12, 2], [3, 4]]),
-        ("1,2\n3,4\n", False, [[1, 2], [3, 4]]),
+        ("a,b\n1,2\n\n3,4\n5,x\n", (NonNumericCell, 5, 2)),
+        ("\na,b\n1,2\n3,x\n", (NonNumericCell, 4, 2)),
+        ('a,b\n"1,5",2\n3,4\n', (NonNumericCell, 2, 1)),
+        ("a,b\n1,2\n\n3,4\n\n", [[1, 2], [3, 4]]),
+        ("a,b\r\n1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ("a,b\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+        ("a , b\n 1 ,2\t\n3, 4 \n", [[1, 2], [3, 4]]),
+        ('a,b\n"1.5",2\n3,"-4"\n', [[1.5, 2], [3, -4]]),
+        ("a,b\n1_000,2\n3,4\n", [[1000, 2], [3, 4]]),
+        ("a,b\n\u0661\u0662,2\n3,\uff14\n", [[12, 2], [3, 4]]),
     ])
-    def test_edge_cases_match_the_scan(self, tmp_path, text, header, expected):
+    def test_edge_cases_match_the_scan(self, tmp_path, text, expected):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outcomes = []
-            for parse in (lambda: load_csv(path, header=header),
-                          lambda: crossblock_io._scan_csv(path, header)):
+            for parse in (lambda: load_csv(path), lambda: crossblock_io._scan_csv(path)):
                 try:
                     block = parse()
                 except (EmptyFile, NonNumericCell, RaggedRows) as err:
@@ -178,8 +163,7 @@ class TestLoadCsvFastPath:
         if isinstance(expected, tuple):
             assert outcomes[0] == expected
         else:
-            labels = ("a", "b") if header else ("v1", "v2")
-            assert outcomes[0] == (labels, bits(np.array(expected, float)).tolist())
+            assert outcomes[0] == (("a", "b"), bits(np.array(expected, float)).tolist())
 
 
 class TestReportDocument:
@@ -229,7 +213,7 @@ class TestPlotData:
         res = run_full_sample(ds.x, ds.y, cfg)
         return ReportDocument.build(
             kind="fit", seed=5, config={},
-            sections={"full_sample": full_sample_section(res, include_draws=True)},
+            sections={"full_sample": full_sample_section(res)},
         )
 
     def test_detectability_bars_schema(self, tmp_path):
@@ -545,6 +529,24 @@ class TestCli:
         assert "--sample-sizes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--kind", "fpr", "--fpr-n", "200", "--fpr-p", "4", "--fpr-q", "2",
+         "--permutations", "5"),
+        ("pca", "stability"),
+    ], ids=["sweep-fpr", "pca-stability"])
+    def test_a_repeated_sample_size_exits_2_naming_it(self, tmp_path, capsys, command):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "60", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        if command[0] == "pca":
+            command = (*command, "--x", str(data / "x.csv"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run(*command, "--sample-sizes", "50,50,9", "--iterations", "3",
+                        "--out-dir", str(out)) == 2
+        assert "sample size 50 is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "d"
         self.run("simulate", "null", "--n", "6", "--p", "8", "--q", "2",
@@ -652,6 +654,16 @@ class TestCli:
                         "--iterations", "3", "--out-dir", str(tmp_path / "out")) == 2
         assert ("n_pc (--pca-components, default 2) must be in [1, 1]"
                 in capsys.readouterr().err)
+
+    def test_pca_stability_names_a_column_constant_in_a_subsample(self, tmp_path, capsys):
+        values = np.random.default_rng(0).normal(size=(200, 3))
+        values[:, 1] = 0.0
+        values[7, 1] = 1.0  # rare: constant in any subsample without row 8
+        path = write_block_csv(DataBlock(values, ("age", "rare", "score")), tmp_path / "x.csv")
+        capsys.readouterr()
+        assert self.run("pca", "stability", "--x", str(path), "--sample-sizes", "20",
+                        "--iterations", "5", "--out-dir", str(tmp_path / "out")) == 2
+        assert "column 'rare' is constant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ("permute", "--permutations", "20"),

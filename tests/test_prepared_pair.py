@@ -137,8 +137,8 @@ def moment_pair(r, n=50):
     sums = np.zeros((k + 1, k + 1))
     sums[0, 0] = n
     sums[1:, 1:] = (n - 1) * cov
-    pair = PreparedPair(np.zeros((n, k + 1)), r.shape[0], tuple(f"c{j}" for j in range(k)),
-                        (np.eye(r.shape[0]), np.eye(2)))
+    x, y = labelled(np.zeros((n, r.shape[0])), "x"), labelled(np.zeros((n, 2)), "y")
+    pair = PreparedPair(np.zeros((n, k + 1)), x, y, (np.eye(r.shape[0]), np.eye(2)))
     return pair, sums
 
 

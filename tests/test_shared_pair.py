@@ -73,10 +73,15 @@ MISMATCHES = {
                              r"basis whitened \(CCA\), the call needs z-scored \(PLS\)"),
     "z-scored pair to cca": (CCA, lambda x, y: prepare_pair(x, y),
                              r"basis z-scored \(PLS\), the call needs whitened \(CCA\)"),
-    "rows": (PLS, lambda x, y: prepare_pair(*blocks(n=121)),
-             "X rows 121, the call needs 120; Y rows 121, the call needs 120"),
-    "X columns": (PLS, lambda x, y: prepare_pair(*blocks(p=5)), "X columns 5, the call needs 4"),
-    "Y columns": (PLS, lambda x, y: prepare_pair(*blocks(q=2)), "Y columns 2, the call needs 3"),
+    "rows": (PLS, lambda x, y: prepare_pair(*blocks(n=121)), "it was prepared from other blocks"),
+    "X columns": (PLS, lambda x, y: prepare_pair(*blocks(p=5)),
+                  "it was prepared from other blocks"),
+    "Y columns": (PLS, lambda x, y: prepare_pair(*blocks(q=2)),
+                  "it was prepared from other blocks"),
+    "same shape": (PLS, lambda x, y: prepare_pair(*blocks(seed=1)),
+                   "it was prepared from other blocks"),
+    "one block other": (CCA, lambda x, y: prepare_pair(x, blocks(seed=1)[1], whiten=True),
+                        "it was prepared from other blocks"),
 }
 
 
