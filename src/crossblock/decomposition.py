@@ -40,8 +40,9 @@ METHODS = (PLS, CCA)
 # takes permutation null singular values from eigenvalues of a small Gram;
 # contract 3 drops PLS's within-block sums and chunks permutation products;
 # contract 4 takes CCA's z-basis variances from its Gram factors and its K
-# from solves, and sums moments and products over 1024-row chunks.
-NUMERICS_CONTRACT = 4
+# from solves, and sums moments and products over 1024-row chunks; contract 5
+# takes Bartlett's chi-square tail from a finite sum, not scipy.
+NUMERICS_CONTRACT = 5
 
 _ORTHO_TOL = 1e-8
 

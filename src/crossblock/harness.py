@@ -268,7 +268,7 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
             seed=derive_seed(config.seed, "full-split-half"),
             threads=config.threads, pair=pair,
         )
-        del pair  # before _bartlett imports scipy, so the two never add up in peak memory
+        del pair  # so the next method's pair never adds to this one in peak memory
         bart = None
         if method == CCA:  # on the permutation test's observed canonical correlations
             bart = _bartlett(perm.observed_s, n=x_used.n, p=x_used.k, q=y.k)

@@ -19,6 +19,7 @@ from its cross products, whose Gram eigenvalues give the null's values.
 Both sum 1024 rows at a time: X's chunk stays in cache across a stack.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,9 +266,8 @@ def bartlett_test(model: CrossBlockModel, n: int) -> BartlettResult:
     jointly zero: chi_square = -(n - 1 - (p + q + 1)/2) * sum_{i>=k}
     ln(1 - s_i^2) on (p - k + 1)(q - k + 1) degrees of freedom, p and q being
     the rows of the model's u and v, with the p-value from the upper tail.
-    scipy is imported when a test runs, not at module load, so that commands
-    that never run this test do not pay for it; ``chdtrc`` is the function
-    ``scipy.stats.chi2.sf`` evaluates.
+    That tail is ``_chi2_sf``, a finite sum for the test's integer degrees
+    of freedom, so no command imports scipy.
     """
     if model.method != CCA:
         raise MethodMismatch("the chi-square test applies to CCA models only")
@@ -276,8 +276,6 @@ def bartlett_test(model: CrossBlockModel, n: int) -> BartlettResult:
 
 def _bartlett(s: np.ndarray, n: int, p: int, q: int) -> BartlettResult:
     """``bartlett_test`` on canonical correlations s of a fit of n rows."""
-    from scipy.special import chdtrc
-
     if n <= p + q:
         raise ValueError(f"need n > p + q, got n={n}, p={p}, q={q}")
     mult = n - 1 - (p + q + 1) / 2
@@ -290,6 +288,38 @@ def _bartlett(s: np.ndarray, n: int, p: int, q: int) -> BartlettResult:
         stat = -mult * float(np.sum(log_terms[k - 1 :]))
         df = (p - k + 1) * (q - k + 1)
         tests.append(
-            BartlettTest(start_lv=k, chi_square=stat, df=df, p_value=float(chdtrc(df, stat)))
+            BartlettTest(start_lv=k, chi_square=stat, df=df, p_value=_chi2_sf(df, stat))
         )
     return BartlettResult(tests=tuple(tests))
+
+
+def _chi2_sf(df: int, stat: float) -> float:
+    """Upper tail of the chi-square distribution on df >= 1 (an integer) at stat.
+
+    With lam = stat/2, a = (df mod 2)/2 and m = df // 2, the terms
+    t_j = e^-lam lam^(a+j) / Gamma(a+j+1), j >= 0, and erfc(sqrt(lam)) for
+    odd df sum to 1; the tail is t_0..t_{m-1} plus that erfc. Each term is
+    formed from its logarithm, so none underflows before it is scaled. Below
+    the mean df the tail is 1 minus t_m, t_{m+1}, ..., which shrink
+    geometrically there: summing the near-1 tail directly would leave it
+    above 1 and not monotone by rounding. A stat of 0 (or -0) gives 1, +inf
+    gives 0 and NaN gives NaN.
+    """
+    if math.isnan(stat):
+        return math.nan
+    lam, a, m = stat / 2, (df % 2) / 2, df // 2
+    if lam <= 0.0:  # also a stat whose half rounds to 0, where the tail rounds to 1
+        return 1.0
+    if lam == math.inf:
+        return 0.0
+    log_lam = math.log(lam)
+
+    def term(j: int) -> float:
+        return math.exp((a + j) * log_lam - lam - math.lgamma(a + j + 1))
+
+    if stat >= df:
+        return math.fsum([term(j) for j in range(m)] + ([math.erfc(math.sqrt(lam))] if a else []))
+    lower = [term(m)]
+    while lower[-1] > 1e-17 * lower[0]:
+        lower.append(term(m + len(lower)))
+    return 1.0 - math.fsum(lower)

@@ -51,9 +51,9 @@ PINNED = {
     "data/truth_cov_yy.csv":
         "a1596fe724ed90bcc687b2678fbd14b3014303a90805bf49b1b6e1d1efecc539",
     "data/truth.json":
-        "0473d728153799016ff7df388e738daa1014b863d0692add1d28a5fb6818d558",
+        "6c30ea5ff93cc4786755210d37a6f269f59ed398709b06472e5bd3aca0c12ca3",
     "fit/fit/metadata.json":
-        "c77684af21f8a9bea27e33b4bcd41ddd34d4fe70b3199a78caee60124eddc96a",
+        "6748e20fff34f8dd1be2b15a6479da0eedf510bf90a188f7fbb23c39c6ca2303",
     "fit/fit/singular_values_pls.csv":
         "f5f207126a76515fff39dbeb816ec3ca0d47cee6ceccc7bcb1a89d645f518604",
     "fit/fit/reproducibility_z_pls.csv":
@@ -65,19 +65,19 @@ PINNED = {
     "fit/fit/reproducibility_z_cca.csv":
         "bc828f2738644ce4b361ecba3b904c2ac5e75d93da88933a41928bcea6a08e10",
     "fit/fit/bartlett_cca.csv":
-        "ee63db7d158b84a9da6bd2d1ac6d9018ecff860780efbdaecc7591441915308d",
+        "080599d81f714f7f02ecb061d7bb02405d0df9c525da0d9c9c73193beb9c3a13",
     "fit/fit/stable_weights_cca.csv":
         "4a6a28359e23e59b17f4ca563a41a91fc80b4e54da741f71ea00aa2c61c2ff44",
     "reproduce/reproduce.json":
-        "dc4b1e03a7b91c3465f0b8e31b1ede9d93b1f2a93280c2a4cb3f66ac24a68237",
+        "b5c51aa68051e3cc02fc48dec7cc8379b3cee179c2744980d6ffa4fad4c34207",
     "sweep/sweep_fpr/metadata.json":
-        "845c4773f399025de6c8b5ef960b38b80805ce52c1abda2b58e2b6f18d913a7c",
+        "fcf95b712cb5596bedc5d23a51e9b5fd769a128f9dae5a1cc07ed126d36e0fe3",
     "sweep/sweep_fpr/subsample_cells.csv":
         "5ed0df97aa0ed08b8ec4711fdbc2eff958450ed4fa57891fb0556f312db72338",
     "sweep/sweep_fpr/any_lv_rejection.csv":
         "ef6c593d6998dcad9d48f8a29617fa666dd7810df66709c52c78ddf8b8139c61",
     "pca/pca_stability.json":
-        "4d8e26f4bf1ff209b4bb2cba76d5635634ffbc5e7b1c6ee4ae2c351eb9451f93",
+        "579164b1e4b4deb2f497650a614102490323f36d582cdb51b27081b207adba10",
     "plots/z_distribution_reproducibility_pls_train_test.csv":
         "f766bd0daae4050c2d304f0c67f09a39286f16453865bd28bfe03fa7841c0e8c",
     "plots/z_distribution_reproducibility_pls_split_half_u.csv":

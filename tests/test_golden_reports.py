@@ -107,19 +107,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "detect-cca-blocked": "c62fea14db2eef1b2aeade300eca0c3e6987e8d19b0ff1eb07de33081877110c",
-    "detect-constant-skips": "787ce14204b0b4855744441cf88f3700ba9d9116291c85de7c1d1ce71a401356",
-    "detect-pca-fraction": "8e2bc22f50339c57ba4f099f192e5d0f957e977b25a6a0dd646e49387892ccb3",
-    "detect-pca-int": "7d5092cb0a1fc33f796f6c8613c44c418896216424fbd549bafe3db128417014",
-    "detect-plain": "ea3fc107a63e4885fa89c871a66d7a48de10017095825bba36607f410bc0f387",
-    "detect-pls-only": "08010164c0c93c55735a26ea440785535c77901bd4b8b436b2d83db34bb5fa45",
-    "fpr": "c753d6a53e2638409d8fe03c601d6cf960c25d019b82ec5eea61890c975b8205",
-    "full-pca": "aa275e30ec31e5fe5cfb36b24e026c9a3065f3eb0b3cee16c7f377ffe83d7552",
-    "full-plain": "3b42bc09cf1a4af2ca8dd11eef48b896873992bf33adb3d81a6744ca717e1e6c",
-    "repro-constant-skips": "a193b3c05c288a35282e86ee9820c220011fcfa14ffb1241feb46996afaf45c8",
-    "repro-half-guard": "ce183269ae938293ab8f90a966174ff91774aca6c45b18faadbbff6ec26053fe",
-    "repro-pca": "ee4abd430bcca73d050782385f3e069d31e46fcb72290efb04786b9deb841ca7",
-    "repro-plain": "874f6c5607d40edc6f2cd01c1e72bc31772c4915cf68ffb4f914ef9b240d91cb",
+    "detect-cca-blocked": "8ba1e68d18d87ac79d058a6aa2598af85e7ebceb06b20be365cdcad736d81482",
+    "detect-constant-skips": "00e72fdd0cafbab9c7cde0977d67d547d23820cf9297cf9c5bc133481be9c1ed",
+    "detect-pca-fraction": "c53be461b626112fad093a6b48bea1b9e1686c3ab9055d5ef6241784da02870a",
+    "detect-pca-int": "0cef40f49caf10aa270fbdf3ebfcfc45ab959601196fca42f65adca3ffec690a",
+    "detect-plain": "ef4642999b315f1d9934ad36885a3b0dcc7ddbfca230b39e9f66d38be73fd894",
+    "detect-pls-only": "2d35d57ebdb058ddc7231cc36f060fef2aebbd4db16c4321611618dcca3f1660",
+    "fpr": "a8d43730f7d6ce165e500623f0e32c01d01d6fa6c5709218cef6296cafffb79d",
+    "full-pca": "680f4e593e3e8e09dcca65503c13bf39e4125ac8462d0a4ca411ab7a2739ef89",
+    "full-plain": "77e8ccc0d742a0dc65ffd7a5aebe8b37afdc65147907c9f5fa89e633dcd61e5f",
+    "repro-constant-skips": "8fa6387e9127e687ef025ed7d0974a24ee59646c4b40d66caa441e0016aa5e2e",
+    "repro-half-guard": "c57a66a7e387c3ca28e022aff320cbf506aad1aa661dd7ba8534b8d878910d66",
+    "repro-pca": "c8f22da9df326cbf342784c07de991f21c3a1e9757cff588508378c5f46701e5",
+    "repro-plain": "0a5a1db096548a13e1a553d094ef472a0d6a80b9d06c98466fb7bc1a2261366e",
 }
 
 # sha256 of each case's ``sections`` alone, serialized as ``to_json`` does;
@@ -132,8 +132,8 @@ GOLDEN_SECTIONS = {
     "detect-plain": "8dafa500e8591a23027206784ed44fe58cbd7912e579ec21a0b317e024843b5e",
     "detect-pls-only": "096eee4e38570b4aa16b33279f91283ca94cb5f4a97448e9fd1c6b34af2c0d38",
     "fpr": "570855bd2eea957bfb71478592bcdb4c127ecbde792fdafa5c09c690dd991dda",
-    "full-pca": "6f16fab19075377b26016d43f8418ed214c6ebb8b45c7a2bb5e0b9122b0c8f02",
-    "full-plain": "75efeaadb731d33ffe61e2dc56ed448ddc8c4a5d8a529b4182e6d0bc2bd4c394",
+    "full-pca": "f911d822f812ac9da94041b59a6fe8d13714c4de08f322dc16a841393c5be184",
+    "full-plain": "3fbc0db8b874f9ead14f06c95a134d7a3abc9159776b36f95cba4bc626331304",
     "repro-constant-skips": "d5533984e8e7c0a9b7264c865cdb71b7d33401db5ba70bbd0a25020ee5bdf200",
     "repro-half-guard": "3839e6ba51ac5f5bc1bef33ebf500ac0ed0eea3e0d2c0d8aec0041dc5f5a2865",
     "repro-pca": "074185845054b3ccddfd24334f5d6400cd1ca94642213d44917e1765b081d89d",

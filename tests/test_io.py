@@ -348,7 +348,7 @@ class TestCli:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
         metadata = json.loads(reports[0])["metadata"]
-        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 4
+        assert metadata["stream_contract"] == 2 and metadata["numerics_contract"] == 5
 
     @pytest.mark.parametrize("kind", ["fpr", "detectability"])
     def test_sweep_reports_identical_across_runs_and_thread_counts(self, tmp_path, kind):

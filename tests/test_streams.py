@@ -62,8 +62,8 @@ class TestGolden:
 
     def test_numerics_contract_in_report_metadata(self):
         doc = ReportDocument.build(kind="k", seed=1, config={}, sections={})
-        assert NUMERICS_CONTRACT == 4
-        assert doc.metadata["numerics_contract"] == 4
+        assert NUMERICS_CONTRACT == 5
+        assert doc.metadata["numerics_contract"] == 5
 
     def test_permutation(self):
         assert permutation_matrix(11, 3, 8).tolist() == [
