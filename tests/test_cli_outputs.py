@@ -3,7 +3,9 @@
 ``test_golden_reports.py`` pins report sections built in-process. This
 module pins what only the command line produces: the config echo in each
 report's metadata, the CSV data and truth files of ``simulate``, the CSV
-bundle of ``--format csv``, and the tables of ``plot-data``. Each command
+bundle of ``--format csv``, the JSON reports of ``permute``, ``bootstrap``,
+``pca fit`` and the detectability and reproducibility sweeps, the score
+CSVs of ``pca scores``, and the tables of ``plot-data``. Each command
 runs in-process on a small dataset; every file it writes is hashed and the
 paths it prints are compared, in order, with the recorded ones. A refactor
 of the CLI or of the writers must leave every entry unchanged.
@@ -35,6 +37,24 @@ COMMANDS = (
              "--iterations", "3", "--no-align", "--seed", "6")),
     ("plots", ("plot-data", "--report", "reproduce/reproduce.json",
                "--kind", "z-distributions")),
+    ("permute", ("permute", *BLOCKS, "--permutations", "10", "--seed", "7")),
+    ("bootstrap", ("bootstrap", *BLOCKS, "--bootstraps", "100", "--seed", "8")),
+    ("fitjson", ("fit", *BLOCKS, "--method", "pls", "--permutations", "20",
+                 "--bootstraps", "100", "--splits", "4", "--pca-components", "auto",
+                 "--seed", "9")),
+    ("pcafit", ("pca", "fit", "--x", "data/x.csv")),
+    ("scores", ("pca", "scores", "--x", "data/x.csv")),
+    ("scores", ("pca", "scores", "--x", "data/x.csv", "--pca-components", "0.9",
+                "--scores-out", "scores/fraction.csv")),
+    ("detect", ("sweep", "--kind", "detectability", *BLOCKS, "--sample-sizes", "40,20",
+                "--iterations", "3", "--permutations", "10", "--seed", "10")),
+    ("repro", ("sweep", "--kind", "reproducibility", *BLOCKS, "--sample-sizes", "60,30",
+               "--iterations", "3", "--splits", "4", "--pca-components", "3",
+               "--seed", "11")),
+    ("plots", ("plot-data", "--report", "fitjson/fit.json", "--kind", "weight-intervals")),
+    ("plots", ("plot-data", "--report", "pcafit/pca_fit.json", "--kind", "eigenspectrum")),
+    ("plots", ("plot-data", "--report", "detect/sweep_detectability.json",
+               "--kind", "detectability-bars")),
 )
 FIT_CONFIG = {"permutations": 20, "method": "both", "pca_components": 3}
 
@@ -84,6 +104,28 @@ PINNED = {
         "5c58480dfa3a2454ca2d8c5fb4de62cfca709f78872005999c0880ef2a9d113d",
     "plots/z_distribution_reproducibility_pls_split_half_v.csv":
         "003582757dfaf37e2169635fb71577c012aad684992a2f7201e94273a8409bf4",
+    "permute/permute.json":
+        "8afcdb234eaf4c81c8260ef5974061ba556c72dc2c7a25a8bc151295364c65ea",
+    "bootstrap/bootstrap.json":
+        "4b689ce257dc8d92ecef66326267fd5690e8f08447ab5a0537ce4ae975246e98",
+    "fitjson/fit.json":
+        "ff2f2951ae1d25dde90ee979da97a1c6ce8581ad9e127eef3a56ab5270bd2fde",
+    "pcafit/pca_fit.json":
+        "5276b44451c7bae03b8548e84b9424cf3087aba82eb26d83581acc565f69cb17",
+    "scores/scores.csv":
+        "c1624b8fdbaeb362aed76043b97fb1dddd8e01d606e7755d7c66d7e70a07e83a",
+    "scores/fraction.csv":
+        "5594c5afd5572141a41eeb51367d3369a9cef84b7e1e559801faad92f0e750e4",
+    "detect/sweep_detectability.json":
+        "b809a9e15413209bafbd79b67eb9f348e4fca6011c49d158fc0e3c8a37fa738f",
+    "repro/sweep_reproducibility.json":
+        "44e70713f773a4316ca99a5deb6fa436a3e9a8f4cd558684b8d79c24fdaaf967",
+    "plots/weight_intervals_pls.csv":
+        "ec9189706f4c3f040d12885b0f9ac1ebbbad409b84b3fbf75e439ff7840ddc95",
+    "plots/eigenspectrum.csv":
+        "fcf57aa62400701dc512753458c8230384aaa210434f9f9f2bd321be612e5952",
+    "plots/detectability_bars.csv":
+        "ae3bd7171bfe86d5320956ad01d0c2bc6a8ec53c19c3f13361bc8fce3b5345e6",
 }
 
 
