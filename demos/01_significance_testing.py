@@ -25,7 +25,7 @@ for method in ("pls", "cca"):
     entry = result.method(method)
     print(f"\n{method.upper()} singular values and permutation p-values:")
     for lv, (s, p) in enumerate(
-        zip(entry.permutation.observed_s, entry.permutation.p_values), start=1
+        zip(entry.permutation.singular_values, entry.permutation.p_values), start=1
     ):
         print(f"  LV{lv}: s = {s:.3f}   p = {p:.3f}")
 bart = result.method("cca").bartlett
@@ -44,7 +44,7 @@ for method in ("pls", "cca"):
     entry = result.method(method)
     print(f"\n{method.upper()} singular values and permutation p-values:")
     for lv, (s, p) in enumerate(
-        zip(entry.permutation.observed_s, entry.permutation.p_values), start=1
+        zip(entry.permutation.singular_values, entry.permutation.p_values), start=1
     ):
         print(f"  LV{lv}: s = {s:.4f}  p = {p:.3f}")
 print("\nchi-square sequence (CCA): the test stops rejecting after the two real LVs")

@@ -28,13 +28,7 @@ from pathlib import Path
 from .blocks import prepare_pair
 from .datagen import SimulationSpec, generate_null, generate_relevant_subspace
 from .decomposition import CCA, PLS
-from .errors import (
-    CrossBlockError,
-    InfeasibleR2,
-    ParseError,
-    RankDeficient,
-    ResamplingError,
-)
+from .errors import CrossBlockError, RankDeficient, ResamplingError
 from .harness import (
     ExperimentConfig,
     run_detectability,
@@ -50,18 +44,15 @@ from .io import (
     emit_plot_data,
     full_sample_section,
     load_csv,
-    pca_section,
     pca_stability_section,
-    permutation_section,
-    split_half_section,
+    result_section,
     subsample_section,
-    train_test_section,
     write_block_csv,
     write_matrix_csv,
     write_report,
 )
 from .parallel import default_threads
-from .pca import VARIANCE_TARGET, _resolve_n_keep, component_scores, fit_pca, pca_stability
+from .pca import VARIANCE_TARGET, component_scores, fit_pca, fit_reduction, pca_stability
 from .reproducibility import null_calibration, split_half, train_test
 
 EXIT_OK = 0
@@ -333,7 +324,7 @@ def _cmd_permute(args) -> int:
     for method in _methods(eff["method"]):
         res = permutation_test(x, y, method, n_perm=eff["permutations"], seed=eff["seed"],
                                threads=eff["threads"])
-        sections[f"permutation_{method}"] = permutation_section(res, include_draws=True)
+        sections[f"permutation_{method}"] = result_section(res, bulk=True)
     return _emit(eff, "permute", sections, _echo(eff))
 
 
@@ -360,15 +351,13 @@ def _cmd_reproduce(args) -> int:
                         threads=eff["threads"], pair=pair)
         sh = split_half(x, y, method, n_split=eff["splits"], seed=eff["seed"],
                         threads=eff["threads"], pair=pair)
-        body = {
-            "train_test": train_test_section(tt),
-            "split_half": split_half_section(sh),
-        }
+        body = {"train_test": result_section(tt, bulk=True),
+                "split_half": result_section(sh, bulk=True)}
         if args.null_calibrate:
             ntt, nsh = null_calibration(x, y, method, n_split=eff["splits"],
                                         seed=eff["seed"], threads=eff["threads"], pair=pair)
-            body["null_train_test"] = train_test_section(ntt)
-            body["null_split_half"] = split_half_section(nsh)
+            body["null_train_test"] = result_section(ntt, bulk=True)
+            body["null_split_half"] = result_section(nsh, bulk=True)
         sections[f"reproducibility_{method}"] = body
     return _emit(eff, "reproduce", sections,
                  {**_echo(eff), "null_calibrate": args.null_calibrate})
@@ -402,12 +391,11 @@ def _cmd_pca(args) -> int:
     eff = _effective(args)
     if args.task == "fit":
         model = fit_pca(load_csv(args.x))
-        return _emit(eff, "pca-fit", {"pca": pca_section(model)}, {"x": str(args.x)})
+        return _emit(eff, "pca-fit", {"pca": result_section(model, bulk=True)},
+                     {"x": str(args.x)})
     if args.task == "scores":
         x = load_csv(args.x)
-        model = fit_pca(x)
-        n_keep = _resolve_n_keep(_pca_pre(eff["pca_components"]), model.variance_fraction)
-        scores = component_scores(x, model, n_keep)
+        scores = component_scores(x, *fit_reduction(x, _pca_pre(eff["pca_components"])))
         out = Path(args.scores_out) if args.scores_out else Path(eff["out_dir"]) / "scores.csv"
         out.parent.mkdir(parents=True, exist_ok=True)
         print(write_block_csv(scores, out))
@@ -454,7 +442,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ParseError, InfeasibleR2, ValueError, CrossBlockError) as exc:
+    except (ValueError, CrossBlockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -54,7 +54,7 @@ from .inference import (
     permutation_test,
 )
 from .parallel import map_draws
-from .pca import PcaModel, _resolve_n_keep, align_to_reference, component_scores, fit_pca
+from .pca import PcaModel, align_to_reference, component_scores, fit_pca, fit_reduction
 from .reproducibility import (
     SplitHalfReport,
     TrainTestReport,
@@ -128,8 +128,8 @@ class MethodFullSample:
     permutation: PermutationResult | None = None
     bootstrap: BootstrapResult | None = None
     bartlett: BartlettResult | None = None
-    train_test_report: TrainTestReport | None = None
-    split_half_report: SplitHalfReport | None = None
+    train_test: TrainTestReport | None = None
+    split_half: SplitHalfReport | None = None
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ def _reduce_x(x: DataBlock, config: ExperimentConfig):
     """Population PCA reduction of the X block when configured."""
     if config.pca_pre is None:
         return x, None, None
-    model = fit_pca(x)
-    n_keep = _resolve_n_keep(config.pca_pre, model.variance_fraction)
+    model, n_keep = fit_reduction(x, config.pca_pre)
     return component_scores(x, model, n_keep), model, n_keep
 
 
@@ -271,12 +270,12 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
         del pair  # so the next method's pair never adds to this one in peak memory
         bart = None
         if method == CCA:  # on the permutation test's observed canonical correlations
-            bart = _bartlett(perm.observed_s, n=x_used.n, p=x_used.k, q=y.k)
+            bart = _bartlett(perm.singular_values, n=x_used.n, p=x_used.k, q=y.k)
         entries.append(
             MethodFullSample(
                 method=method, status=OK, reason=None,
                 permutation=perm, bootstrap=boot, bartlett=bart,
-                train_test_report=tt, split_half_report=sh,
+                train_test=tt, split_half=sh,
             )
         )
     return FullSampleResult(
@@ -334,10 +333,7 @@ def _sweep(x, y, config, kind, evaluate, summarize) -> SubsampleReport:
     fraction that studies other than reproducibility report.
     """
     _check_population(x, y, config)
-    pca_reference = None
-    if config.pca_pre is not None:
-        pop_model = fit_pca(x)
-        pca_reference = (pop_model, _resolve_n_keep(config.pca_pre, pop_model.variance_fraction))
+    pca_reference = None if config.pca_pre is None else fit_reduction(x, config.pca_pre)
     p_effective = pca_reference[1] if pca_reference else x.k
     r = min(p_effective, y.k)
     cells = []

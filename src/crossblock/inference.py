@@ -46,8 +46,8 @@ MIN_BOOTSTRAPS = 100
 class PermutationResult:
     """Observed singular values, their permutation null draws, and p-values."""
 
-    observed_s: np.ndarray
-    null_s: np.ndarray
+    singular_values: np.ndarray
+    null_singular_values: np.ndarray
     p_values: np.ndarray
     n_perm: int
 
@@ -180,7 +180,8 @@ def permutation_test(
 
     p_values = (null_s >= _singular_values(observed[None])[0]).sum(axis=0) / n_perm
     return PermutationResult(
-        observed_s=observed_s, null_s=null_s, p_values=p_values, n_perm=n_perm
+        singular_values=observed_s, null_singular_values=null_s, p_values=p_values,
+        n_perm=n_perm,
     )
 
 

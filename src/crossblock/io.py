@@ -24,9 +24,8 @@ from .blocks import DataBlock
 from .decomposition import NUMERICS_CONTRACT
 from .errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
 from .harness import AnyLvCell, FullSampleResult, SubsampleCell, SubsampleReport
-from .inference import BartlettResult, BootstrapResult, PermutationResult
-from .pca import PcaModel, PcaStabilityResult
-from .reproducibility import SplitHalfReport, TrainTestReport
+from .inference import BootstrapResult
+from .pca import PcaStabilityResult
 from .rng import STREAM_CONTRACT
 
 SCHEMA_VERSION = 1
@@ -209,15 +208,14 @@ class ReportDocument:
 # Section builders (result dataclasses -> JSON-plain dicts)
 # ---------------------------------------------------------------------------
 
-def permutation_section(result: PermutationResult, include_draws: bool = False) -> dict:
-    out = {
-        "singular_values": result.observed_s,
-        "p_values": result.p_values,
-        "n_perm": result.n_perm,
-    }
-    if include_draws:
-        out["null_singular_values"] = result.null_s
-    return out
+# Fields a result's section carries only with ``bulk``: per-draw arrays and eigenvectors.
+_BULK_FIELDS = ("null_singular_values", "draws", "u_draws", "v_draws", "eigenvectors")
+
+
+def result_section(result, bulk: bool) -> dict:
+    """A result dataclass's fields by name, less ``_BULK_FIELDS`` unless ``bulk``."""
+    return {f.name: getattr(result, f.name) for f in fields(result)
+            if bulk or f.name not in _BULK_FIELDS}
 
 
 def bootstrap_section(result: BootstrapResult, x_labels, y_labels) -> dict:
@@ -238,56 +236,6 @@ def bootstrap_section(result: BootstrapResult, x_labels, y_labels) -> dict:
             "stable": result.vs_stable,
         },
     }
-
-
-def bartlett_section(result: BartlettResult) -> list:
-    return [
-        {
-            "start_lv": t.start_lv,
-            "chi_square": t.chi_square,
-            "df": t.df,
-            "p_value": t.p_value,
-        }
-        for t in result.tests
-    ]
-
-
-def train_test_section(report: TrainTestReport, include_draws: bool = True) -> dict:
-    out = {
-        "z": report.z,
-        "degenerate": report.degenerate,
-        "n_split": report.n_split,
-        "n_failed": report.n_failed,
-    }
-    if include_draws:
-        out["draws"] = report.s_test_draws
-    return out
-
-
-def split_half_section(report: SplitHalfReport, include_draws: bool = True) -> dict:
-    out = {
-        "z_u": report.z_u,
-        "z_v": report.z_v,
-        "degenerate_u": report.degenerate_u,
-        "degenerate_v": report.degenerate_v,
-        "n_split": report.n_split,
-        "n_failed": report.n_failed,
-    }
-    if include_draws:
-        out["u_draws"] = report.u_cosine_draws
-        out["v_draws"] = report.v_cosine_draws
-    return out
-
-
-def pca_section(model: PcaModel, include_vectors: bool = True) -> dict:
-    out = {
-        "eigenvalues": model.eigenvalues,
-        "variance_fraction": model.variance_fraction,
-        "n_kept": model.n_kept,
-    }
-    if include_vectors:
-        out["eigenvectors"] = model.eigenvectors
-    return out
 
 
 def pca_stability_section(result: PcaStabilityResult) -> dict:
@@ -318,13 +266,12 @@ def full_sample_section(result: FullSampleResult) -> dict:
             continue
         section = {
             "status": entry.status,
-            "permutation": permutation_section(entry.permutation),
             "bootstrap": bootstrap_section(entry.bootstrap, result.x_labels, result.y_labels),
-            "train_test": train_test_section(entry.train_test_report, include_draws=False),
-            "split_half": split_half_section(entry.split_half_report, include_draws=False),
         }
+        for name in ("permutation", "train_test", "split_half"):
+            section[name] = result_section(getattr(entry, name), bulk=False)
         if entry.bartlett is not None:
-            section["bartlett"] = bartlett_section(entry.bartlett)
+            section["bartlett"] = [result_section(t, bulk=False) for t in entry.bartlett.tests]
         per_method[entry.method] = section
     out = {
         "x_labels": list(result.x_labels),
@@ -332,7 +279,7 @@ def full_sample_section(result: FullSampleResult) -> dict:
         "per_method": per_method,
     }
     if result.pca_model is not None:
-        out["pca"] = pca_section(result.pca_model, include_vectors=False)
+        out["pca"] = result_section(result.pca_model, bulk=False)
         out["n_components_used"] = result.n_components_used
     return out
 

@@ -60,8 +60,8 @@ VARIANCE_TARGET = 0.98
 
 
 def _resolve_n_keep(pca_pre: int | float | None, fraction: np.ndarray) -> int:
-    """Component count ``pca_pre`` keeps of a fit with cumulative variance ``fraction``:
-    an int capped at their count, a fraction as a variance target, None as ``n_kept``."""
+    """Component count ``pca_pre`` keeps of a fit with cumulative variance ``fraction``
+    (see ``fit_reduction``)."""
     if isinstance(pca_pre, int):
         return min(pca_pre, len(fraction))
     target = VARIANCE_TARGET if pca_pre is None else pca_pre
@@ -93,6 +93,13 @@ def fit_pca(block: DataBlock) -> PcaModel:
     different count to ``component_scores``.
     """
     return _fit_values(block.values, block.labels)
+
+
+def fit_reduction(block: DataBlock, pca_pre: int | float | None) -> tuple[PcaModel, int]:
+    """``fit_pca(block)`` and the component count ``pca_pre`` keeps of it: an int
+    capped at the component count, a fraction as a variance target, None as ``n_kept``."""
+    model = fit_pca(block)
+    return model, _resolve_n_keep(pca_pre, model.variance_fraction)
 
 
 def component_scores(block: DataBlock, model: PcaModel, n_keep: int) -> DataBlock:

@@ -37,12 +37,12 @@ from .rng import permutation_rows, substream
 class TrainTestReport:
     """Projected test singular values per split and their per-LV z scores.
 
-    ``s_test_draws`` has one row per completed split (failed splits are
-    counted in ``n_failed``). Where a distribution has no spread beyond
-    rounding the z is NaN and the LV is flagged degenerate.
+    ``draws`` has one row per completed split (failed splits are counted in
+    ``n_failed``). Where a distribution has no spread beyond rounding the z
+    is NaN and the LV is flagged degenerate.
     """
 
-    s_test_draws: np.ndarray
+    draws: np.ndarray
     z: np.ndarray
     degenerate: np.ndarray
     n_split: int
@@ -51,10 +51,11 @@ class TrainTestReport:
 
 @dataclass(frozen=True)
 class SplitHalfReport:
-    """Absolute diagonal cosines between half-sample singular vectors."""
+    """Absolute diagonal cosines between half-sample singular vectors, one row
+    of ``u_draws`` (X side) and ``v_draws`` (Y side) per completed split."""
 
-    u_cosine_draws: np.ndarray
-    v_cosine_draws: np.ndarray
+    u_draws: np.ndarray
+    v_draws: np.ndarray
     z_u: np.ndarray
     z_v: np.ndarray
     degenerate_u: np.ndarray

@@ -188,7 +188,7 @@ def test_criterion_4_reproducibility_pattern(structured_dataset):
     detail = []
     for method in (PLS, CCA):
         entry = result.method(method)
-        lv_z = split_half_lv_z(entry.split_half_report)
+        lv_z = split_half_lv_z(entry.split_half)
         ok = ok and lv_z[0] > 3 and lv_z[1] > 3 and lv_z[2] < 2 and lv_z[3] < 2
         detail.append(f"{method} z={np.round(lv_z, 2)}")
     bart = {t.start_lv: t.p_value for t in result.method(CCA).bartlett.tests}

@@ -115,7 +115,7 @@ def correlations(x, y):
     return (m.u * m.s) @ m.v.T
 
 
-class TestCorrelationBundle:
+class TestFitCorrelations:
     """The within- and cross-block correlations the fits decompose."""
 
     def test_self_correlation(self):
@@ -139,7 +139,7 @@ class TestCorrelationBundle:
             with pytest.raises(ObservationMismatch):
                 fit(block([1.0, 2.0, 3.0]), block([1.0, 2.0]))
 
-    def test_bundle_invariants(self):
+    def test_correlation_invariants(self):
         rng = np.random.default_rng(7)
         x = block(*rng.normal(size=(4, 60)))
         y = block(*rng.normal(size=(3, 60)))

@@ -65,4 +65,4 @@ def test_permutation_null_equals_a_fancy_index_gather(method, explicit, elements
     perms = permutation_matrix(seed, n_perm, x.n)
     given = perms if explicit else None
     result = permutation_test(x, y, method, n_perm=n_perm, seed=seed, permutations=given)
-    assert np.array_equal(result.null_s, reference_null(x, y, method, perms))
+    assert np.array_equal(result.null_singular_values, reference_null(x, y, method, perms))

@@ -133,7 +133,7 @@ class TestGuards:
         assert res.method(CCA).reason == (
             "half-sample rank guard: sample size 3 does not exceed the 3 X variables")
         assert res.method(PLS).status == OK
-        assert res.method(PLS).split_half_report is not None
+        assert res.method(PLS).split_half is not None
 
 
 class TestFullSample:
@@ -146,8 +146,8 @@ class TestFullSample:
             assert entry.status == OK
             assert entry.permutation.p_values.shape == (3,)
             assert entry.bootstrap.us_stable.shape == (6, 3)
-            assert entry.train_test_report.z.shape == (3,)
-            assert entry.split_half_report.z_u.shape == (3,)
+            assert entry.train_test.z.shape == (3,)
+            assert entry.split_half.z_u.shape == (3,)
         assert res.method(CCA).bartlett is not None
         assert res.method(PLS).bartlett is None
 
@@ -157,7 +157,7 @@ class TestFullSample:
         res = run_full_sample(ds.x, ds.y, cfg)
         pls = res.method(PLS)
         assert pls.permutation.p_values[0] == 0.0
-        assert split_half_lv_z(pls.split_half_report)[0] > 3.0
+        assert split_half_lv_z(pls.split_half)[0] > 3.0
 
     def test_pca_pre_reduces_block(self):
         ds = small_structured(seed=2)
@@ -170,7 +170,8 @@ class TestFullSample:
         cca = res.method(CCA)
         # only X is reduced, so agreement is limited by the sample noise in
         # the Y within-block correlations
-        assert np.abs(pls.permutation.observed_s - cca.permutation.observed_s).max() < 0.01
+        gap = pls.permutation.singular_values - cca.permutation.singular_values
+        assert np.abs(gap).max() < 0.01
 
 
 class TestDeterminism:

@@ -79,14 +79,14 @@ class TestPermutationTest:
     def test_p_value_counting_convention(self):
         x, y = gaussian_blocks(6, 60, 3, 2)
         res = permutation_test(x, y, PLS, n_perm=40, seed=2)
-        counts = (res.null_s >= res.observed_s).sum(axis=0)
+        counts = (res.null_singular_values >= res.singular_values).sum(axis=0)
         assert_allclose(res.p_values, counts / 40)
 
     def test_deterministic_given_seed(self):
         x, y = gaussian_blocks(7, 80, 4, 2)
         a = permutation_test(x, y, CCA, n_perm=30, seed=9)
         b = permutation_test(x, y, CCA, n_perm=30, seed=9)
-        assert np.array_equal(a.null_s, b.null_s)
+        assert np.array_equal(a.null_singular_values, b.null_singular_values)
         assert np.array_equal(a.p_values, b.p_values)
 
     def test_null_blocks_rarely_significant(self):
@@ -104,8 +104,8 @@ class TestPermutationTest:
         b = permutation_test(x, y, CCA, n_perm=10, seed=4)
         # same permutation indices feed both; the null draws differ only by
         # the within-block adjustment
-        assert a.null_s.shape == b.null_s.shape
-        assert not np.array_equal(a.null_s, b.null_s)
+        assert a.null_singular_values.shape == b.null_singular_values.shape
+        assert not np.array_equal(a.null_singular_values, b.null_singular_values)
 
 
 class TestNullSingularValues:
@@ -127,7 +127,7 @@ class TestNullSingularValues:
         x = DataBlock(np.column_stack([x.values, x.values[:, 0]]), (*x.labels, "x0 again"))
         forced = np.tile(np.arange(60), (7, 1))
         res = permutation_test(x, y, PLS, n_perm=7, seed=0, permutations=forced)
-        assert res.observed_s[-1] < 1e-12 * res.observed_s[0]
+        assert res.singular_values[-1] < 1e-12 * res.singular_values[0]
         assert np.array_equal(res.p_values, np.ones(4))
 
     @settings(max_examples=60, deadline=None)

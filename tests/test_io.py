@@ -13,9 +13,13 @@ from numpy.testing import assert_allclose
 
 from crossblock import (
     ExperimentConfig,
+    fit_pca,
     generate_null,
+    permutation_test,
     run_detectability,
     run_full_sample,
+    split_half,
+    train_test,
 )
 import crossblock.cli as cli
 import crossblock.io as crossblock_io
@@ -28,6 +32,7 @@ from crossblock.io import (
     emit_plot_data,
     full_sample_section,
     load_csv,
+    result_section,
     subsample_section,
     write_block_csv,
     write_report,
@@ -193,6 +198,24 @@ class TestReportDocument:
         with pytest.raises(MissingSection):
             doc.section("pca")
 
+    def test_result_sections_are_fields_by_name_with_draws_only_in_bulk(self):
+        ds = generate_null(60, 3, 2, seed=4)
+        cases = [
+            (permutation_test(ds.x, ds.y, "pls", n_perm=10, seed=5),
+             {"singular_values", "p_values", "n_perm"}, {"null_singular_values"}),
+            (train_test(ds.x, ds.y, "pls", n_split=4, seed=5),
+             {"z", "degenerate", "n_split", "n_failed"}, {"draws"}),
+            (split_half(ds.x, ds.y, "pls", n_split=4, seed=5),
+             {"z_u", "z_v", "degenerate_u", "degenerate_v", "n_split", "n_failed"},
+             {"u_draws", "v_draws"}),
+            (fit_pca(ds.x), {"eigenvalues", "variance_fraction", "n_kept"}, {"eigenvectors"}),
+        ]
+        for result, light, draws in cases:
+            assert set(result_section(result, bulk=False)) == light
+            section = result_section(result, bulk=True)
+            assert set(section) == light | draws
+            assert all(section[name] is getattr(result, name) for name in section)
+
     def test_write_json_and_csv_bundle(self, tmp_path):
         doc = self.build_sample_report()
         [json_path] = write_report(doc, tmp_path, stem="rep", format="json")
@@ -242,7 +265,7 @@ class TestPlotData:
         with pytest.raises(MissingSection):
             emit_plot_data(doc, "z-distributions", tmp_path)
         from crossblock import split_half, train_test
-        from crossblock.io import split_half_section, train_test_section
+        from crossblock.io import result_section
 
         ds = generate_null(100, 3, 2, seed=8)
         tt = train_test(ds.x, ds.y, "pls", n_split=12, seed=9)
@@ -250,8 +273,8 @@ class TestPlotData:
         doc2 = ReportDocument.build(
             kind="reproduce", seed=9, config={},
             sections={"reproducibility_pls": {
-                "train_test": train_test_section(tt),
-                "split_half": split_half_section(sh),
+                "train_test": result_section(tt, bulk=True),
+                "split_half": result_section(sh, bulk=True),
             }},
         )
         paths = emit_plot_data(doc2, "z-distributions", tmp_path)

@@ -15,6 +15,7 @@ from crossblock import (
     pca_stability,
 )
 from crossblock.errors import ConstantColumn, ShapeMismatch
+from crossblock.pca import VARIANCE_TARGET, fit_reduction
 
 
 def steep_spectrum_block(n, seed, p=50, gamma=0.6):
@@ -96,6 +97,15 @@ class TestComponentScores:
         model = fit_pca(x)
         assert model.variance_fraction[6] >= 0.98
         assert model.n_kept == 7
+
+    def test_reduction_count_by_pca_pre(self):
+        x = steep_spectrum_block(4000, seed=6)
+        model, n_keep = fit_reduction(x, None)
+        assert n_keep == model.n_kept == fit_reduction(x, VARIANCE_TARGET)[1] == 7
+        assert fit_reduction(x, 3)[1] == 3
+        assert fit_reduction(x, 80)[1] == x.k
+        half = fit_reduction(x, 0.5)[1]
+        assert model.variance_fraction[half - 2] < 0.5 <= model.variance_fraction[half - 1]
 
     def test_total_variance_preserved(self):
         ds = generate_null(400, 5, 2, seed=7)

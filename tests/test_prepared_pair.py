@@ -59,7 +59,7 @@ def test_near_collinear_cca_matches_the_qr_oracle():
     pair = prepare_pair(x, y, whiten=True)
     _, s, _, _, (error,) = _fit_zscored(pair, pair.sums())
     assert error is None
-    for got in (s, permutation_test(x, y, CCA, n_perm=1).observed_s,
+    for got in (s, permutation_test(x, y, CCA, n_perm=1).singular_values,
                 fit_cca(x, y).s):
         assert np.abs(got - exact).max() <= QR_TOL
     observed = bootstrap_ci(x, y, CCA, n_boot=100, seed=1).observed_us

@@ -45,7 +45,7 @@ def blocks(n, p, q, seed):
 
 def fit(x, y, method):
     model = (fit_pls if method == PLS else fit_cca)(x, y)
-    observed = permutation_test(x, y, method, n_perm=1, seed=0).observed_s
+    observed = permutation_test(x, y, method, n_perm=1, seed=0).singular_values
     assert np.abs(observed - model.s).max() <= S_TOL
     return model.u, model.s, model.v
 

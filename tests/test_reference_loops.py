@@ -237,15 +237,15 @@ def test_permutation_test(data, method):
     x, y = DATA[data]()
     res = permutation_test(x, y, method, n_perm=60, seed=8)
     observed, null, p_values = ref_permutation(x, y, method, 60, 8)
-    close(res.observed_s, observed, TOL[method])
-    close(res.null_s, null, TOL[method])
+    close(res.singular_values, observed, TOL[method])
+    close(res.null_singular_values, null, TOL[method])
     same(res.p_values, p_values)
     if method == CCA:
         gen = substream(8, "permutation")
         exact = [qr_canonical_correlations(x.values, y.values[gen.permutation(x.n)])
                  for _ in range(60)]
-        close(res.observed_s, qr_canonical_correlations(x.values, y.values), QR_TOL)
-        close(res.null_s, np.stack(exact), QR_TOL)
+        close(res.singular_values, qr_canonical_correlations(x.values, y.values), QR_TOL)
+        close(res.null_singular_values, np.stack(exact), QR_TOL)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -296,7 +296,7 @@ def test_train_test(data, method, monkeypatch):
     reference = ref_splits(x, y, method, 30, 10, "train-test", null=False)
     for (rep,) in in_every_layout(
             monkeypatch, lambda t: (train_test(x, y, method, n_split=30, seed=10, threads=t),)):
-        done = check_splits(reference, 30, {0: rep.s_test_draws}, rep.n_failed, method)
+        done = check_splits(reference, 30, {0: rep.draws}, rep.n_failed, method)
         if data != "signal" and (data == "sparse-column" or method == CCA):
             assert 0 < len(done) < 30  # some splits fail, some complete
 
@@ -308,7 +308,7 @@ def test_split_half(data, method, monkeypatch):
     reference = ref_splits(x, y, method, 30, 11, "split-half", null=False)
     for (rep,) in in_every_layout(
             monkeypatch, lambda t: (split_half(x, y, method, n_split=30, seed=11, threads=t),)):
-        check_splits(reference, 30, {1: rep.u_cosine_draws, 2: rep.v_cosine_draws},
+        check_splits(reference, 30, {1: rep.u_draws, 2: rep.v_draws},
                      rep.n_failed, method)
 
 
@@ -319,8 +319,8 @@ def test_null_calibration(data, method, monkeypatch):
     reference = ref_splits(x, y, method, 30, 12, "null-calibration", null=True)
     for tt, sh in in_every_layout(
             monkeypatch, lambda t: null_calibration(x, y, method, n_split=30, seed=12, threads=t)):
-        check_splits(reference, 30, {0: tt.s_test_draws}, tt.n_failed, method)
-        check_splits(reference, 30, {1: sh.u_cosine_draws, 2: sh.v_cosine_draws}, sh.n_failed,
+        check_splits(reference, 30, {0: tt.draws}, tt.n_failed, method)
+        check_splits(reference, 30, {1: sh.u_draws, 2: sh.v_draws}, sh.n_failed,
                      method)
 
 

@@ -85,7 +85,7 @@ class TestTrainTest:
     def test_draw_sign_is_kept(self):
         ds = generate_null(400, 5, 3, seed=4)
         rep = train_test(ds.x, ds.y, PLS, n_split=100, seed=5)
-        assert (rep.s_test_draws < 0).any()
+        assert (rep.draws < 0).any()
 
     def test_rank_guard_failure_recorded(self):
         # CCA halves of 30 rows cannot support 20 X variables
@@ -97,7 +97,7 @@ class TestTrainTest:
         x, y = gaussian_blocks(7, 120, 4, 3)
         a = train_test(x, y, CCA, n_split=60, seed=2, threads=1)
         b = train_test(x, y, CCA, n_split=60, seed=2, threads=4)
-        assert np.array_equal(a.s_test_draws, b.s_test_draws)
+        assert np.array_equal(a.draws, b.draws)
 
 
 @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
@@ -176,8 +176,8 @@ class TestTestHalfFailures:
         self.rig(monkeypatch, shuffled={1, 2})
         reports = fn(*self.blocks(x_broken, y_broken, collinear), method, n_split=4, seed=1)
         for report in reports if isinstance(reports, tuple) else (reports,):
-            draws = (report.s_test_draws if isinstance(report, TrainTestReport)
-                     else report.u_cosine_draws)
+            draws = (report.draws if isinstance(report, TrainTestReport)
+                     else report.u_draws)
             assert (report.n_split, report.n_failed, len(draws)) == (4, 2, 2)
 
     @pytest.mark.parametrize("fn", [train_test, split_half, null_calibration])
@@ -216,15 +216,15 @@ class TestSplitHalf:
     def test_one_dimensional_y_degenerate_cosine(self):
         x, y = gaussian_blocks(8, 200, 4, 1)
         rep = split_half(x, y, PLS, n_split=40, seed=3)
-        assert_allclose(rep.v_cosine_draws, 1.0, atol=1e-12)
+        assert_allclose(rep.v_draws, 1.0, atol=1e-12)
         assert rep.degenerate_v[0]
         assert np.isnan(rep.z_v[0])
 
     def test_cosines_within_unit_interval(self):
         x, y = gaussian_blocks(9, 150, 5, 3)
         rep = split_half(x, y, CCA, n_split=50, seed=4)
-        assert np.all(rep.u_cosine_draws >= 0)
-        assert np.all(rep.u_cosine_draws <= 1 + 1e-10)
+        assert np.all(rep.u_draws >= 0)
+        assert np.all(rep.u_draws <= 1 + 1e-10)
 
     def test_null_z_range(self):
         ds = generate_null(10000, 10, 5, seed=12)
@@ -278,5 +278,5 @@ class TestNullCalibration:
         x, y = gaussian_blocks(11, 100, 3, 2)
         a = null_calibration(x, y, PLS, n_split=30, seed=19)
         b = null_calibration(x, y, PLS, n_split=30, seed=19, threads=3)
-        assert np.array_equal(a[0].s_test_draws, b[0].s_test_draws)
-        assert np.array_equal(a[1].u_cosine_draws, b[1].u_cosine_draws)
+        assert np.array_equal(a[0].draws, b[0].draws)
+        assert np.array_equal(a[1].u_draws, b[1].u_draws)

@@ -101,13 +101,14 @@ def draw_bytes(x, y, threads):
     """Every resampler's per-draw results (bootstrap: its intervals) as bytes."""
     arrays = []
     for method in METHODS:
-        arrays.append(permutation_test(x, y, method, n_perm=20, seed=3, threads=threads).null_s)
+        perm = permutation_test(x, y, method, n_perm=20, seed=3, threads=threads)
+        arrays.append(perm.null_singular_values)
         boot = bootstrap_ci(x, y, method, n_boot=100, seed=3, threads=threads)
         arrays += [boot.us_lower, boot.us_upper, boot.vs_lower, boot.vs_upper]
-        arrays.append(train_test(x, y, method, n_split=6, seed=3, threads=threads).s_test_draws)
+        arrays.append(train_test(x, y, method, n_split=6, seed=3, threads=threads).draws)
         half = split_half(x, y, method, n_split=6, seed=3, threads=threads)
         tt, sh = null_calibration(x, y, method, n_split=4, seed=3, threads=threads)
-        arrays += [half.u_cosine_draws, half.v_cosine_draws, tt.s_test_draws, sh.u_cosine_draws]
+        arrays += [half.u_draws, half.v_draws, tt.draws, sh.u_draws]
     return b"".join(a.tobytes() for a in arrays)
 
 
@@ -186,7 +187,7 @@ def test_streamed_permutations_equal_the_explicit_matrix(method):
     streamed = permutation_test(ds.x, ds.y, method, n_perm=n_perm, seed=6)
     explicit = permutation_test(ds.x, ds.y, method, n_perm=n_perm, seed=6,
                                 permutations=permutation_matrix(6, n_perm, 2000))
-    assert streamed.null_s.tobytes() == explicit.null_s.tobytes()
+    assert streamed.null_singular_values.tobytes() == explicit.null_singular_values.tobytes()
     assert streamed.p_values.tobytes() == explicit.p_values.tobytes()
 
 
@@ -199,7 +200,7 @@ def test_permutation_working_set_does_not_grow_with_n_perm():
         tracemalloc.start()
         try:
             result = permutation_test(ds.x, ds.y, PLS, n_perm=n_perm, seed=2)
-            return tracemalloc.get_traced_memory()[1], result.null_s.nbytes
+            return tracemalloc.get_traced_memory()[1], result.null_singular_values.nbytes
         finally:
             tracemalloc.stop()
 

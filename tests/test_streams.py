@@ -91,16 +91,16 @@ class TestGolden:
 
     def test_train_test(self, blocks):
         rep = train_test(*blocks, PLS, n_split=5, seed=11)
-        assert_golden(rep.s_test_draws[0], [0.036827265007, 0.07176334018])
+        assert_golden(rep.draws[0], [0.036827265007, 0.07176334018])
 
     def test_split_half(self, blocks):
         rep = split_half(*blocks, PLS, n_split=5, seed=11)
-        assert_golden(rep.u_cosine_draws[0], [0.73940663128, 0.582696882383])
+        assert_golden(rep.u_draws[0], [0.73940663128, 0.582696882383])
 
     def test_null_calibration(self, blocks):
         tt, sh = null_calibration(*blocks, PLS, n_split=5, seed=11)
-        assert_golden(tt.s_test_draws[0], [-0.412355656438, -0.081662105234])
-        assert_golden(sh.u_cosine_draws[0], [0.897248704415, 0.423102764583])
+        assert_golden(tt.draws[0], [-0.412355656438, -0.081662105234])
+        assert_golden(sh.u_draws[0], [0.897248704415, 0.423102764583])
 
     def test_pca_stability(self, blocks):
         res = pca_stability(blocks[0], sample_sizes=(20,), n_iter=5, n_pc=2, seed=11)
@@ -138,30 +138,30 @@ def test_null_calibration_uses_one_partition_per_iteration(blocks):
         train, test = (fit_pls(DataBlock(x.values[rows], x.labels), DataBlock(yp[rows], y.labels))
                        for rows in (part[:cut], part[cut:]))
         test_rxy = np.corrcoef(x.values[part[cut:]], yp[part[cut:]], rowvar=False)[: x.k, x.k :]
-        assert_allclose(tt.s_test_draws[i], np.diag(train.u.T @ test_rxy @ train.v), atol=1e-12)
-        assert_allclose(sh.u_cosine_draws[i], np.abs(np.diag(train.u.T @ test.u)), atol=1e-12)
-        assert_allclose(sh.v_cosine_draws[i], np.abs(np.diag(train.v.T @ test.v)), atol=1e-12)
+        assert_allclose(tt.draws[i], np.diag(train.u.T @ test_rxy @ train.v), atol=1e-12)
+        assert_allclose(sh.u_draws[i], np.abs(np.diag(train.u.T @ test.u)), atol=1e-12)
+        assert_allclose(sh.v_draws[i], np.abs(np.diag(train.v.T @ test.v)), atol=1e-12)
 
 
 class TestPrefix:
     def test_permutation_test(self, blocks):
         short = permutation_test(*blocks, PLS, n_perm=100, seed=3)
         long = permutation_test(*blocks, PLS, n_perm=250, seed=3)
-        assert np.array_equal(short.null_s, long.null_s[:100])
+        assert np.array_equal(short.null_singular_values, long.null_singular_values[:100])
 
     @pytest.mark.parametrize("fn", [train_test, split_half])
     def test_split_draws(self, blocks, fn):
         short = fn(*blocks, PLS, n_split=10, seed=3)
         long = fn(*blocks, PLS, n_split=25, seed=3)
-        for name in ("s_test_draws", "u_cosine_draws", "v_cosine_draws"):
+        for name in ("draws", "u_draws", "v_draws"):
             if hasattr(short, name):
                 assert np.array_equal(getattr(short, name), getattr(long, name)[:10])
 
     def test_null_calibration(self, blocks):
         short = null_calibration(*blocks, PLS, n_split=10, seed=3)
         long = null_calibration(*blocks, PLS, n_split=25, seed=3)
-        assert np.array_equal(short[0].s_test_draws, long[0].s_test_draws[:10])
-        assert np.array_equal(short[1].u_cosine_draws, long[1].u_cosine_draws[:10])
+        assert np.array_equal(short[0].draws, long[0].draws[:10])
+        assert np.array_equal(short[1].u_draws, long[1].u_draws[:10])
 
 
 def test_permutation_chunk_size_invariance(blocks, monkeypatch):
@@ -170,7 +170,7 @@ def test_permutation_chunk_size_invariance(blocks, monkeypatch):
     one_row = permutation_test(x, y, PLS, n_perm=50, seed=4)
     monkeypatch.setattr(parallel, "_DRAW_CHUNK_ELEMENTS", 10**9)  # all rows at once
     all_rows = permutation_test(x, y, PLS, n_perm=50, seed=4)
-    assert one_row.null_s.tobytes() == all_rows.null_s.tobytes()
+    assert one_row.null_singular_values.tobytes() == all_rows.null_singular_values.tobytes()
     assert one_row.p_values.tobytes() == all_rows.p_values.tobytes()
 
 
