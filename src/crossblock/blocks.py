@@ -64,6 +64,10 @@ class DataBlock:
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != k:
             raise ValueError(f"{len(labels)} labels for {k} columns")
+        if len(set(labels)) != k:
+            j = next(j for j in range(k) if labels[j] in labels[:j])
+            raise ValueError(f"label {labels[j]!r} names columns "
+                             f"{labels.index(labels[j]) + 1} and {j + 1}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)

@@ -79,11 +79,29 @@ def _groups(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(group) for group in text.split(";") if group.strip())
 
 
+def _pca_components(value):
+    """An int >= 1, a fraction in (0, 1) or "auto", from a flag's text or a
+    config file's value."""
+    if value == "auto":
+        return value
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = 0.0  # refused below, naming the flag
+    if number >= 1 and number.is_integer():
+        return int(number)
+    if not 0 < number < 1:
+        raise ValueError("--pca-components must be an int >= 1, a fraction "
+                         "in (0,1), or 'auto'")
+    return number
+
+
 # Every option a config file may set, and the only declaration of its flag, as
 # (default, JSON types, parse type, choices, help). A config file's value must
 # have one of the JSON types exactly, so true and false are not numbers; a
 # sample_sizes list holds integers. The flag parses with the parse type. A
-# command resolves the options its parser defines.
+# command resolves the options its parser defines. pca_components parses in
+# _effective instead, so that a flag and a config file echo one value.
 _OPTIONS = {
     "seed": (0, (int,), int, None, "master seed (default 0)"),
     "out_dir": (".", (str,), None, None, "output directory (default .)"),
@@ -139,6 +157,8 @@ def _effective(args) -> dict:
         raise ValueError("--sample-sizes must list at least one sample size")
     if "threads" in out and out["threads"] is None:
         out["threads"] = default_threads()
+    if out.get("pca_components") is not None:
+        out["pca_components"] = _pca_components(out["pca_components"])
     return out
 
 
@@ -242,21 +262,9 @@ def _load_config_file(args):
     args._config_data = data
 
 
-def _pca_pre(raw):
-    if raw is None:
-        return None
-    if raw == "auto":
-        return VARIANCE_TARGET
-    try:
-        value = float(raw)
-    except ValueError:
-        value = 0.0  # refused below, naming the flag
-    if value >= 1 and value.is_integer():
-        return int(value)
-    if not 0 < value < 1:
-        raise ValueError("--pca-components must be an int >= 1, a fraction "
-                         "in (0,1), or 'auto'")
-    return value
+def _pca_pre(value):
+    """The ``pca_pre`` of a parsed --pca-components value."""
+    return VARIANCE_TARGET if value == "auto" else value
 
 
 def _emit(eff: dict, kind: str, sections: dict, config: dict, stem: str | None = None) -> int:

@@ -207,8 +207,9 @@ def bootstrap_ci(
     (seed, "bootstrap") generator. A draw that produces a constant column,
     or that fails the CCA rank guard, is redrawn for that slot only, from
     the (seed, "bootstrap-retry", i) generator, up to 100 attempts in all
-    before the iteration aborts with a diagnostic; silently skipping draws
-    would bias the distribution. ``pair`` is as in ``permutation_test``.
+    before the iteration aborts with ``ResamplingError``, whose message ends
+    with the last failed draw's error; silently skipping draws would bias
+    the distribution. ``pair`` is as in ``permutation_test``.
     """
     if n_boot < MIN_BOOTSTRAPS:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAPS}")
@@ -219,25 +220,26 @@ def bootstrap_ci(
 
     def fits(idx):
         """U * s and V * s of a stack of draws, aligned to the observed U, and
-        the draws to redraw (a constant column or a CCA rank failure)."""
+        each draw's error, or None (a constant column or a CCA rank failure)."""
         u, s, v, _, errors = _fit_zscored(pair, pair.sums(idx), basis=None)
         u, v, _ = align_reflections(observed.u, u, v)
         s = s[..., None, :]
-        return u * s, v * s, [e is not None for e in errors]
+        return u * s, v * s, errors
 
     def evaluate(start, idx):
-        us, vs, failed = fits(idx)
+        us, vs, errors = fits(idx)
         draws = list(zip(us, vs))
-        for i in np.flatnonzero(failed):
+        for i in [i for i, error in enumerate(errors) if error is not None]:
             retry = substream(seed, "bootstrap-retry", start + i)
             for _ in range(_BOOT_MAX_RETRIES - 1):
-                us, vs, (failed,) = fits(retry.integers(0, n, (1, n)))
-                if not failed:
+                us, vs, (error,) = fits(retry.integers(0, n, (1, n)))
+                if error is None:
                     draws[i] = us[0], vs[0]
                     break
             else:
                 raise ResamplingError(f"bootstrap iteration {start + i} produced "
-                                      f"{_BOOT_MAX_RETRIES} degenerate draws in a row")
+                                      f"{_BOOT_MAX_RETRIES} degenerate draws in a row; "
+                                      f"the last: {error}")
         return draws
 
     batch = substream(seed, "bootstrap")

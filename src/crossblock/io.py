@@ -23,7 +23,7 @@ from . import __version__
 from .blocks import DataBlock
 from .decomposition import NUMERICS_CONTRACT
 from .errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
-from .harness import AnyLvCell, FullSampleResult, SubsampleCell, SubsampleReport
+from .harness import FullSampleResult, SubsampleReport
 from .inference import BootstrapResult
 from .pca import PcaStabilityResult
 from .rng import STREAM_CONTRACT
@@ -302,11 +302,6 @@ def _write_table(path: Path, headers, rows) -> Path:
     return path
 
 
-def _records_table(path: Path, headers, records) -> Path:
-    """One row per record (a dict), its values in ``headers`` order."""
-    return _write_table(path, headers, ([r[h] for h in headers] for r in records))
-
-
 def _cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -319,8 +314,10 @@ def write_report(report: ReportDocument, out_dir, stem: str = "report",
                  format: str = "json") -> list[Path]:
     """Write a report as a single JSON document or a CSV bundle.
 
-    The CSV bundle holds one table per file plus metadata.json carrying the
-    seed and config needed for an exact rerun.
+    The CSV bundle is the JSON sections flattened by the rule of ``_tables``:
+    one file per table, plus metadata.json holding the seed and config needed
+    for an exact rerun and, under their section paths, the values no table
+    holds. An empty cell is a JSON null.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,92 +327,82 @@ def write_report(report: ReportDocument, out_dir, stem: str = "report",
         return [path]
     if format != "csv":
         raise ValueError(f"unknown report format {format!r}")
-    written = []
     bundle = out_dir / stem
     bundle.mkdir(parents=True, exist_ok=True)
+    tables, rest = _tables(report.sections)
     meta = bundle / "metadata.json"
     meta.write_text(_canonical_json({"schema_version": report.data.get("schema_version"),
-                                     "metadata": report.metadata}), encoding="utf-8")
-    written.append(meta)
-    for name, section in report.sections.items():
-        written.extend(_section_tables(bundle, name, section))
-    return written
+                                     "metadata": report.metadata, "sections": rest}),
+                    encoding="utf-8")
+    return [meta] + [_write_table(bundle / f"{name}.csv", *table)
+                     for name, table in tables.items()]
 
 
-def _section_tables(bundle: Path, name: str, section) -> list[Path]:
-    out = []
-    if name == "subsample":
-        out.append(_records_table(bundle / "subsample_cells.csv",
-                                  [f.name for f in fields(SubsampleCell)], section["cells"]))
-        if section.get("any_lv"):
-            out.append(_records_table(bundle / "any_lv_rejection.csv",
-                                      [f.name for f in fields(AnyLvCell)], section["any_lv"]))
-        return out
-    if name == "full_sample":
-        for method, body in section["per_method"].items():
-            if body.get("status") != "ok":
-                out.append(_write_table(
-                    bundle / f"status_{method}.csv", ["method", "status", "reason"],
-                    [[method, body.get("status"), body.get("reason")]],
-                ))
-                continue
-            perm = body["permutation"]
-            out.append(_write_table(
-                bundle / f"singular_values_{method}.csv",
-                ["lv", "singular_value", "p_value"],
-                [[i + 1, s, p] for i, (s, p) in
-                 enumerate(zip(perm["singular_values"], perm["p_values"]))],
-            ))
-            out.append(_write_table(
-                bundle / f"reproducibility_z_{method}.csv",
-                ["lv", "train_test_z", "split_half_z_u", "split_half_z_v"],
-                [[i + 1, tz, zu, zv] for i, (tz, zu, zv) in enumerate(zip(
-                    body["train_test"]["z"], body["split_half"]["z_u"],
-                    body["split_half"]["z_v"]))],
-            ))
-            if "bartlett" in body:
-                out.append(_records_table(
-                    bundle / f"bartlett_{method}.csv",
-                    ["start_lv", "chi_square", "df", "p_value"], body["bartlett"],
-                ))
-            out.append(_write_table(
-                bundle / f"stable_weights_{method}.csv",
-                ["block", "variable", "lv", "observed", "lower", "upper", "stable"],
-                _weight_rows(body["bootstrap"]),
-            ))
-        return out
-    if name == "pca":
-        return [_eigenspectrum_table(bundle / "eigenspectrum.csv", section)]
-    if name == "pca_stability":
-        out.append(_write_table(
-            bundle / "pca_stability.csv",
-            ["sample_size", "pc", "mean", "sd", "z", "aligned"],
-            [[c["sample_size"], c["pc"], c["mean"], c["sd"], c["z"], section["aligned"]]
-             for c in section["cells"]],
-        ))
-        return out
-    # generic sections (permutation, bootstrap, reproducibility, ...) go to JSON
-    path = bundle / f"{name}.json"
-    path.write_text(_canonical_json(section), encoding="utf-8")
-    return [path]
+def _tables(section: dict, path: tuple = ()) -> tuple[dict, dict]:
+    """The dict ``section`` at ``path`` of a report's sections as
+    ({name: (headers, rows)}, the values no table holds, nested as in it).
+
+    Within each dict:
+    - a list of records becomes one table, a column per key;
+    - the 1-D arrays of one length share one table, keyed by a 1-based
+      position column (``component`` in a ``pca`` dict, ``lv`` elsewhere);
+    - the (variable x LV) matrices of a dict with 1-D ``labels`` of their
+      row count become one long table: ``variable``, ``lv``, then a column
+      per matrix;
+    - any other matrix becomes a wide table: ``row``, then ``c1``..``ck``.
+
+    A table is named by the path of what it holds: a dict's own tables (its
+    arrays and long table) by the dict's path, followed by their first
+    field's name when the dict has more than one.
+    """
+    shapes = {key: _shape(value) for key, value in section.items()}
+    labels = section["labels"] if shapes.get("labels") == "array" else ()
+    long = {k: v for k, v in section.items() if shapes[k] == "matrix" and len(v) == len(labels)}
+    groups = {}
+    for key, value in section.items():
+        if shapes[key] == "array" and not (long and key == "labels"):
+            groups.setdefault(len(value), {})[key] = value
+    position = "component" if path[-1:] == ("pca",) else "lv"
+    own = [(next(iter(g)), [position, *g],
+            [[i + 1, *row] for i, row in enumerate(zip(*g.values()))]) for g in groups.values()]
+    if long:
+        width = len(next(iter(long.values()))[0])
+        own.insert(0, (next(iter(long)), ["variable", "lv", *long],
+                       [[label, lv + 1, *(m[i][lv] for m in long.values())]
+                        for i, label in enumerate(labels) for lv in range(width)]))
+    tables = {".".join(path if len(own) == 1 else (*path, first)): (headers, rows)
+              for first, headers, rows in own}
+    rest = {}
+    for key, value in section.items():
+        name = ".".join((*path, key))
+        if shapes[key] == "dict":
+            inner_tables, inner = _tables(value, (*path, key))
+            tables.update(inner_tables)
+            if inner or not value:
+                rest[key] = inner
+        elif shapes[key] == "records":
+            headers = list(value[0])
+            tables[name] = headers, [[record[h] for h in headers] for record in value]
+        elif shapes[key] == "matrix" and key not in long:
+            tables[name] = (["row", *(f"c{j + 1}" for j in range(len(value[0])))],
+                            [[i + 1, *row] for i, row in enumerate(value)])
+        elif shapes[key] is None:
+            rest[key] = value
+    return tables, rest
 
 
-def _eigenspectrum_table(path: Path, section: dict) -> Path:
-    return _write_table(
-        path, ["component", "eigenvalue", "cumulative_variance_fraction"],
-        [[i + 1, w, f] for i, (w, f) in
-         enumerate(zip(section["eigenvalues"], section["variance_fraction"]))],
-    )
-
-
-def _weight_rows(boot: dict):
-    """(block, variable, lv, observed, lower, upper, stable) rows of a bootstrap section."""
-    for block_name in ("x", "y"):
-        side = boot[block_name]
-        for vi, label in enumerate(side["labels"]):
-            for lv, observed in enumerate(side["observed"][vi]):
-                yield [block_name, label, lv + 1, observed,
-                       side["lower"][vi][lv], side["upper"][vi][lv], side["stable"][vi][lv]]
+def _shape(value):
+    """"dict", "records", "matrix" (rectangular), "array" (1-D), or None for
+    what no table holds: a scalar, an empty list or a ragged one."""
+    if isinstance(value, dict):
+        return "dict"
+    if not isinstance(value, list) or not value:
+        return None
+    if all(isinstance(v, dict) for v in value):
+        return "records"
+    if all(isinstance(v, list) for v in value):
+        return "matrix" if len({len(v) for v in value}) == 1 else None
+    return "array"
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +415,7 @@ PLOT_KINDS = ("detectability-bars", "weight-intervals", "eigenspectrum", "z-dist
 def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
     """Emit plot-ready CSV files for one figure family.
 
+    Each kind selects and renames columns of the CSV bundle's tables:
     detectability-bars: method,sample_size,lv,value (one row per bar).
     weight-intervals: block,variable,lv,lower,upper,stable (one file per method).
     eigenspectrum: component,eigenvalue,cumulative_variance_fraction.
@@ -435,59 +423,56 @@ def emit_plot_data(report: ReportDocument, kind: str, out_dir) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    tables, _ = _tables(report.sections)
     if kind == "detectability-bars":
-        section = report.section("subsample")
-        rows = [
-            [c["method"], c["sample_size"], c["lv"], c["detectability"]]
-            for c in section["cells"]
-            if c["status"] == "ok" and c["detectability"] is not None
-        ]
+        rows = [row[:4] for row in _select(tables.get("subsample.cells"), "method",
+                                           "sample_size", "lv", "detectability", "status")
+                if row[4] == "ok" and row[3] is not None]
         if not rows:
             raise MissingSection("report has no detectability cells")
         return [_write_table(out_dir / "detectability_bars.csv",
                              ["method", "sample_size", "lv", "value"], rows)]
     if kind == "weight-intervals":
-        section = report.section("full_sample")
         written = []
-        for method, body in section["per_method"].items():
-            if body.get("status") != "ok":
-                continue
-            written.append(_write_table(
-                out_dir / f"weight_intervals_{method}.csv",
-                ["block", "variable", "lv", "lower", "upper", "stable"],
-                (row[:3] + row[4:] for row in _weight_rows(body["bootstrap"])),
-            ))
+        for method in report.section("full_sample")["per_method"]:
+            prefix = f"full_sample.per_method.{method}.bootstrap."
+            rows = [[block, *row] for block in ("x", "y") for row in _select(
+                tables.get(prefix + block), "variable", "lv", "lower", "upper", "stable")]
+            if rows:
+                written.append(_write_table(
+                    out_dir / f"weight_intervals_{method}.csv",
+                    ["block", "variable", "lv", "lower", "upper", "stable"], rows))
         if not written:
             raise MissingSection("report has no bootstrap results")
         return written
     if kind == "eigenspectrum":
-        sections = report.sections
-        section = sections.get("pca", sections.get("full_sample", {}).get("pca"))
-        if section is None:
+        rows = _select(tables.get("pca", tables.get("full_sample.pca")),
+                       "component", "eigenvalues", "variance_fraction")
+        if not rows:
             raise MissingSection("report has no PCA section")
-        return [_eigenspectrum_table(out_dir / "eigenspectrum.csv", section)]
+        return [_write_table(out_dir / "eigenspectrum.csv",
+                             ["component", "eigenvalue", "cumulative_variance_fraction"], rows)]
     if kind == "z-distributions":
         written = []
-        for section_name, metrics in _draw_sources(report):
-            for metric, draws in metrics:
-                if draws is None:
-                    continue
-                headers = ["draw"] + [f"lv{j + 1}" for j in range(len(draws[0]))]
-                rows = [[i + 1] + list(row) for i, row in enumerate(draws)]
-                written.append(_write_table(
-                    out_dir / f"z_distribution_{section_name}_{metric}.csv", headers, rows,
-                ))
+        for name in report.sections:
+            for metric, table in (("train_test", "train_test.draws"),
+                                  ("split_half_u", "split_half.u_draws"),
+                                  ("split_half_v", "split_half.v_draws")):
+                if name.startswith("reproducibility") and f"{name}.{table}" in tables:
+                    headers, rows = tables[f"{name}.{table}"]
+                    written.append(_write_table(
+                        out_dir / f"z_distribution_{name}_{metric}.csv",
+                        ["draw", *(f"lv{j}" for j in range(1, len(headers)))], rows))
         if not written:
             raise MissingSection("report carries no reproducibility draw distributions")
         return written
     raise ValueError(f"unknown plot kind {kind!r}, expected one of {PLOT_KINDS}")
 
 
-def _draw_sources(report: ReportDocument):
-    """(name, [(metric, draws or None), ...]) of each reproducibility section."""
-    for name, section in report.sections.items():
-        if name.startswith("reproducibility"):
-            tt = section.get("train_test", {})
-            sh = section.get("split_half", {})
-            yield name, [("train_test", tt.get("draws")), ("split_half_u", sh.get("u_draws")),
-                         ("split_half_v", sh.get("v_draws"))]
+def _select(table, *columns) -> list[list]:
+    """The rows of a (headers, rows) table, cut to ``columns``; none for no table."""
+    if table is None:
+        return []
+    headers, rows = table
+    index = [headers.index(c) for c in columns]
+    return [[row[i] for i in index] for row in rows]

@@ -3,20 +3,31 @@
 ``test_golden_reports.py`` pins report sections built in-process. This
 module pins what only the command line produces: the config echo in each
 report's metadata, the CSV data and truth files of ``simulate``, the CSV
-bundle of ``--format csv``, the JSON reports of ``permute``, ``bootstrap``,
-``pca fit`` and the detectability and reproducibility sweeps, the score
-CSVs of ``pca scores``, and the tables of ``plot-data``. Each command
-runs in-process on a small dataset; every file it writes is hashed and the
-paths it prints are compared, in order, with the recorded ones. A refactor
-of the CLI or of the writers must leave every entry unchanged.
+bundles of ``--format csv`` (``fit`` with and without a PCA fraction, the
+fpr sweep, ``permute`` and ``reproduce --null-calibrate``), the JSON
+reports of ``permute``, ``bootstrap``, ``pca fit`` and the detectability
+and reproducibility sweeps, the score CSVs of ``pca scores``, and the
+tables of ``plot-data``. Each command runs in-process on a small dataset;
+every file it writes is hashed and the paths it prints are compared, in
+order, with the recorded ones. A refactor of the CLI or of the writers must
+leave every entry unchanged.
+
+Two more properties are checked on every report kind: a CSV bundle reads
+back into the JSON report's sections, and an option given as a flag or in
+a config file writes the same bytes.
 """
 
+import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import crossblock.cli as cli
+from crossblock.blocks import DataBlock
 from crossblock.cli import main
+from crossblock.io import write_block_csv
 
 SIMULATE = ("simulate", "subspace", "--n", "200", "--p", "8", "--relevant-counts", "3",
             "--relpos", "1,2", "--m", "3", "--ypos", "1,2", "--r2", "0.3", "--gamma", "0.4",
@@ -55,6 +66,12 @@ COMMANDS = (
     ("plots", ("plot-data", "--report", "pcafit/pca_fit.json", "--kind", "eigenspectrum")),
     ("plots", ("plot-data", "--report", "detect/sweep_detectability.json",
                "--kind", "detectability-bars")),
+    ("permutecsv", ("permute", *BLOCKS, "--permutations", "10", "--format", "csv",
+                    "--seed", "7")),
+    ("reproducecsv", ("reproduce", *BLOCKS, "--method", "pls", "--splits", "4",
+                      "--null-calibrate", "--format", "csv", "--seed", "4")),
+    ("fitpca", ("fit", *BLOCKS, "--method", "pls", "--permutations", "20", "--bootstraps", "100",
+                "--splits", "4", "--pca-components", "0.9", "--format", "csv", "--seed", "9")),
 )
 FIT_CONFIG = {"permutations": 20, "method": "both", "pca_components": 3}
 
@@ -73,28 +90,40 @@ PINNED = {
     "data/truth.json":
         "6c30ea5ff93cc4786755210d37a6f269f59ed398709b06472e5bd3aca0c12ca3",
     "fit/fit/metadata.json":
-        "6748e20fff34f8dd1be2b15a6479da0eedf510bf90a188f7fbb23c39c6ca2303",
-    "fit/fit/singular_values_pls.csv":
-        "f5f207126a76515fff39dbeb816ec3ca0d47cee6ceccc7bcb1a89d645f518604",
-    "fit/fit/reproducibility_z_pls.csv":
-        "84bc9a7e9e94906a5874be36b5c65c486d9248246e334e7cec82a3b2ccd4565d",
-    "fit/fit/stable_weights_pls.csv":
-        "c3901e2108fc33057c2d011d0cdf42d442a679d470c569812eafb70ce6471c8b",
-    "fit/fit/singular_values_cca.csv":
-        "cdb33e43df98c2c72378dec797cc48c040bd1005b5d42de932d7d00272598ca6",
-    "fit/fit/reproducibility_z_cca.csv":
-        "bc828f2738644ce4b361ecba3b904c2ac5e75d93da88933a41928bcea6a08e10",
-    "fit/fit/bartlett_cca.csv":
+        "d145834ca150f3776b4ce81418bd42d29d1635a95948cc2e79a2ad2f0d6b7088",
+    "fit/fit/full_sample.csv":
+        "24cc108a5312d72b2c48df2cdb0f850599a25bd34c5348ff4a2d15ae60f9d3f3",
+    "fit/fit/full_sample.per_method.pls.bootstrap.x.csv":
+        "b764932a1e6d2112446fb45c8561f652017e1850f266bfecea0602c352a68ff0",
+    "fit/fit/full_sample.per_method.pls.bootstrap.y.csv":
+        "a3f20b164bc078636433d3fc617cbca257204a52d494472e500328a327185d17",
+    "fit/fit/full_sample.per_method.pls.permutation.csv":
+        "f7009e0984e22e378eba33363a5fe4664e1441d8632e9025414868370e392ae2",
+    "fit/fit/full_sample.per_method.pls.train_test.csv":
+        "7155fd25babe6f159df377cfbec8d49899e13c3f9c234081825368097bc8d68e",
+    "fit/fit/full_sample.per_method.pls.split_half.csv":
+        "5559c94ac2b03e98164ee66d430fd22ef312274abdaa84be8ff34a38e437dbad",
+    "fit/fit/full_sample.per_method.cca.bootstrap.x.csv":
+        "02414c71e58209fba12d087fadd2953e31890fb82269ab008b7b9930b86762f6",
+    "fit/fit/full_sample.per_method.cca.bootstrap.y.csv":
+        "9875963254cde98ed84ab8de65dfaf580b04bf61af7d625c950399e8a66322ee",
+    "fit/fit/full_sample.per_method.cca.permutation.csv":
+        "2aa905d1e544ef7c09f908fc51d32a5a9c1e7e24119812d006f20111e70ac4b4",
+    "fit/fit/full_sample.per_method.cca.train_test.csv":
+        "284ae070095c2783ea4124a1d2c4323c278cdef1d6abb7778ea575032e65047e",
+    "fit/fit/full_sample.per_method.cca.split_half.csv":
+        "775cc71ad4cfdf6521e427bcdba2a2a7e51e7c15f0a16bd91f815ee72281a7ae",
+    "fit/fit/full_sample.per_method.cca.bartlett.csv":
         "080599d81f714f7f02ecb061d7bb02405d0df9c525da0d9c9c73193beb9c3a13",
-    "fit/fit/stable_weights_cca.csv":
-        "4a6a28359e23e59b17f4ca563a41a91fc80b4e54da741f71ea00aa2c61c2ff44",
+    "fit/fit/full_sample.pca.csv":
+        "97845b0a2c86536a6e8bcd240885481e031a7f6bd13957e2853bea90584422fc",
     "reproduce/reproduce.json":
         "b5c51aa68051e3cc02fc48dec7cc8379b3cee179c2744980d6ffa4fad4c34207",
     "sweep/sweep_fpr/metadata.json":
-        "fcf95b712cb5596bedc5d23a51e9b5fd769a128f9dae5a1cc07ed126d36e0fe3",
-    "sweep/sweep_fpr/subsample_cells.csv":
+        "3a8302b8f8259f19efcb24578d38a0f942e4c087ed36d852512d1948c4b1b5bb",
+    "sweep/sweep_fpr/subsample.cells.csv":
         "5ed0df97aa0ed08b8ec4711fdbc2eff958450ed4fa57891fb0556f312db72338",
-    "sweep/sweep_fpr/any_lv_rejection.csv":
+    "sweep/sweep_fpr/subsample.any_lv.csv":
         "ef6c593d6998dcad9d48f8a29617fa666dd7810df66709c52c78ddf8b8139c61",
     "pca/pca_stability.json":
         "579164b1e4b4deb2f497650a614102490323f36d582cdb51b27081b207adba10",
@@ -119,13 +148,63 @@ PINNED = {
     "detect/sweep_detectability.json":
         "b809a9e15413209bafbd79b67eb9f348e4fca6011c49d158fc0e3c8a37fa738f",
     "repro/sweep_reproducibility.json":
-        "44e70713f773a4316ca99a5deb6fa436a3e9a8f4cd558684b8d79c24fdaaf967",
+        "a5f28618235164fc2779d182c1e8a1c84bd9f7ff6e3bd4bc7958b292e8688b6d",
     "plots/weight_intervals_pls.csv":
         "ec9189706f4c3f040d12885b0f9ac1ebbbad409b84b3fbf75e439ff7840ddc95",
     "plots/eigenspectrum.csv":
         "fcf57aa62400701dc512753458c8230384aaa210434f9f9f2bd321be612e5952",
     "plots/detectability_bars.csv":
         "ae3bd7171bfe86d5320956ad01d0c2bc6a8ec53c19c3f13361bc8fce3b5345e6",
+    "permutecsv/permute/metadata.json":
+        "d24a1a813a60d0ede8338418405e8e0a3e5e31e436292b72da3b5cbb089a2a45",
+    "permutecsv/permute/permutation_pls.csv":
+        "e8c39577236eeff2f3f6dd1682633f0ce91f0e68fee8d6ea0321c6954d9e964d",
+    "permutecsv/permute/permutation_pls.null_singular_values.csv":
+        "a7debfd4a9f787d83fa7fcb57f3d883b4a3f5ff5b3609d523f016fe9e6f881c4",
+    "permutecsv/permute/permutation_cca.csv":
+        "f94f94b6e939aa9854a7d6618764d4bc2fc75ecca5943d9ae308fedf06244528",
+    "permutecsv/permute/permutation_cca.null_singular_values.csv":
+        "d4891dbb4618fcc0dd0eaa31d2ff9f361f86d72f4bfcc8723fef8f5d66aff24f",
+    "reproducecsv/reproduce/metadata.json":
+        "2e7ca991bdad7b89521dcf6c81be183847d7ef8b1288ae34ca39a0e18623158e",
+    "reproducecsv/reproduce/reproducibility_pls.train_test.csv":
+        "68597b262a3afe880186c85a665abbf9abf7307ac2c73e8edb23f055c29d81b2",
+    "reproducecsv/reproduce/reproducibility_pls.train_test.draws.csv":
+        "279249a6da41e133f139f020a445243f9a0cc6e0d7d958c3ffaca1591006006c",
+    "reproducecsv/reproduce/reproducibility_pls.split_half.csv":
+        "0a4e4795fce6dcc866a73f1b8e476b1eeaa7ed5080c2fafc94cc0bc743e0b8a2",
+    "reproducecsv/reproduce/reproducibility_pls.split_half.u_draws.csv":
+        "ca24896c60645b54b41e72a3edbb1703ed20d24c2e958dc48e34c19b90de8214",
+    "reproducecsv/reproduce/reproducibility_pls.split_half.v_draws.csv":
+        "1c94c45c5a1cadfbdb9a1d176d4f730fb98fc62bc5f1fbf6e37cf06f5d692aa1",
+    "reproducecsv/reproduce/reproducibility_pls.null_train_test.csv":
+        "8997d83550d745af596108fa44955f80bf57925552fb12b7e142b6ee6885cd74",
+    "reproducecsv/reproduce/reproducibility_pls.null_train_test.draws.csv":
+        "70d176c05d1eaed0f3e3b504862aeef84655b8f7159d12022eeb065beeae0986",
+    "reproducecsv/reproduce/reproducibility_pls.null_split_half.csv":
+        "3271ee28b00503be4198a74753c60e105fdfebb9fa921aea0d3e03f3058d7781",
+    "reproducecsv/reproduce/reproducibility_pls.null_split_half.u_draws.csv":
+        "10016aba2d843f5aaf6f80ad8ce40f983fdb01dcb453c5e9db1130b79250b36c",
+    "reproducecsv/reproduce/reproducibility_pls.null_split_half.v_draws.csv":
+        "fef2cad9384dd45cb6eca20531db384e9d61062e3847fa3d1cd8db7be6b9634a",
+    "fitpca/fit/metadata.json":
+        "fb455551bc1ced463d1bf9b03d871ead985b40a6e02860f393c38babd4bac696",
+    "fitpca/fit/full_sample.x_labels.csv":
+        "f33dfd9381022f13e314e77a6fc3eccd57d6436e006c1245e91ba0483542c872",
+    "fitpca/fit/full_sample.y_labels.csv":
+        "099a0027632ef0f2da6e10cbac587104d7198636b3e8dd5c26d3e843ccd6d42b",
+    "fitpca/fit/full_sample.per_method.pls.bootstrap.x.csv":
+        "aedb00bf3e54a0dc01ce20a72e49b1891015a04a929dceab5438c2cad6499c1b",
+    "fitpca/fit/full_sample.per_method.pls.bootstrap.y.csv":
+        "0383158c86ad002a6f0bfd30cc62460d622e58d5e2476333af35e1c7fa5082b4",
+    "fitpca/fit/full_sample.per_method.pls.permutation.csv":
+        "ee79ffa740810a24e87fe32b515a14cac1907e27f37d6fa05a316cb9b4de5a80",
+    "fitpca/fit/full_sample.per_method.pls.train_test.csv":
+        "17956914045518aa4cef5ef882fe024cfa6af88ae49f423b2fd26d2bac368e23",
+    "fitpca/fit/full_sample.per_method.pls.split_half.csv":
+        "9e58e6ad42b502a2f13abdc8d7258469415d73f62fc169f3f8fea39fc152999a",
+    "fitpca/fit/full_sample.pca.csv":
+        "97845b0a2c86536a6e8bcd240885481e031a7f6bd13957e2853bea90584422fc",
 }
 
 
@@ -151,3 +230,166 @@ def test_cli_writes_the_pinned_files(outputs):
     assert printed == list(PINNED)
     assert written == sorted(PINNED)
     assert hashes == PINNED
+
+
+# ---------------------------------------------------------------------------
+# The CSV bundle is the JSON report's sections flattened
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding what the commands read: the simulated blocks, the
+    fit config file, and a Y block with a collinear column (CCA not run)."""
+    base = tmp_path_factory.mktemp("inputs")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        assert main([*SIMULATE, "--out-dir", "data"]) == 0
+    (base / "fit_config.json").write_text(json.dumps(FIT_CONFIG), encoding="utf-8")
+    y = np.random.default_rng(1).normal(size=(200, 3))
+    y[:, 2] = y[:, 0] - y[:, 1]
+    write_block_csv(DataBlock(y, ("y1", "y2", "y3")), base / "collinear_y.csv")
+    return base
+
+
+# Every CSV command above, plus one command of each report kind.
+ROUND_TRIP = {
+    **{out_dir: command for out_dir, command in COMMANDS if "csv" in command},
+    "fit-cca-not-run": ("fit", "--x", "data/x.csv", "--y", "collinear_y.csv",
+                        "--permutations", "10", "--bootstraps", "100", "--splits", "4"),
+    "detectability": ("sweep", "--kind", "detectability", *BLOCKS, "--sample-sizes", "40,20",
+                      "--iterations", "3", "--permutations", "10"),
+    "reproducibility": ("sweep", "--kind", "reproducibility", *BLOCKS, "--sample-sizes",
+                        "60,30", "--iterations", "3", "--splits", "4",
+                        "--pca-components", "3"),
+    "bootstrap": ("bootstrap", *BLOCKS, "--bootstraps", "100"),
+    "pca-fit": ("pca", "fit", "--x", "data/x.csv"),
+    "pca-stability": ("pca", "stability", "--x", "data/x.csv", "--sample-sizes", "60,30",
+                      "--iterations", "3"),
+    # two components of different sizes: relevant_predictors is ragged
+    "simulate": ("simulate", "subspace", "--n", "100", "--p", "8", "--relevant-counts", "3,2",
+                 "--relpos", "1;2", "--m", "3", "--ypos", "1;2", "--r2", "0.3,0.2",
+                 "--gamma", "0.4"),
+}
+
+
+def _read_cell(text):
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _at(root: dict, keys) -> dict:
+    for key in keys:
+        root = root.setdefault(key, {})
+    return root
+
+
+def read_bundle(bundle):
+    """The sections a CSV bundle holds: metadata.json's, with every table put
+    back at its path as the rule of ``io._tables`` laid it out."""
+    sections = json.loads((bundle / "metadata.json").read_text(encoding="utf-8"))["sections"]
+    for path in sorted(bundle.glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            headers, *rows = csv.reader(fh)
+        rows = [[_read_cell(c) for c in row] for row in rows]
+        keys = path.stem.split(".")
+        if headers[0] in ("lv", "component", "variable"):  # a dict's own table
+            first = 2 if headers[0] == "variable" else 1
+            if keys[-1] == headers[first]:  # one of the dict's several tables
+                keys = keys[:-1]
+            parent = _at(sections, keys)
+            if headers[0] == "variable":
+                parent["labels"] = list(dict.fromkeys(row[0] for row in rows))
+                width = len(rows) // len(parent["labels"])
+                for j, field in enumerate(headers[2:], 2):
+                    parent[field] = [[row[j] for row in rows[i:i + width]]
+                                     for i in range(0, len(rows), width)]
+            else:
+                for j, field in enumerate(headers[1:], 1):
+                    parent[field] = [row[j] for row in rows]
+        else:
+            parent = _at(sections, keys[:-1])
+            parent[keys[-1]] = ([row[1:] for row in rows] if headers[0] == "row"
+                                else [dict(zip(headers, row)) for row in rows])
+    return sections
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_csv_bundle_reads_back_as_the_json_sections(inputs, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(inputs)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    for fmt in ("json", "csv"):
+        assert main([*ROUND_TRIP[name], "--format", fmt, "--out-dir", str(tmp_path / fmt)]) == 0
+    [report_path] = (tmp_path / "json").glob("*.json")
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    bundle = tmp_path / "csv" / report_path.stem
+    meta = json.loads((bundle / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["metadata"] == report["metadata"]
+    # canonical JSON tells 1 from 1.0 and -0.0 from 0.0, so floats compare bit for bit
+    canonical = lambda sections: json.dumps(sections, sort_keys=True, allow_nan=False)
+    assert canonical(read_bundle(bundle)) == canonical(report["sections"])
+
+
+# ---------------------------------------------------------------------------
+# A flag and a config file echo one value
+# ---------------------------------------------------------------------------
+
+def _analysis(command, *flags):
+    return lambda d: (command, "--x", str(d / "x.csv"), "--y", str(d / "y.csv"), *flags)
+
+
+_PERMUTE = _analysis("permute", "--permutations", "5")
+_DETECT = ("sweep", "--kind", "detectability", "--permutations", "5")
+# (option, flag text, config value, argv of a command given the data directory)
+SAME_VALUE = [
+    ("seed", "4", 4, _PERMUTE),
+    ("out_dir", "o", "o", _PERMUTE),
+    ("format", "csv", "csv", _PERMUTE),
+    ("threads", "2", 2, _PERMUTE),
+    ("method", "pls", "pls", _PERMUTE),
+    ("permutations", "7", 7, _analysis("permute")),
+    ("bootstraps", "100", 100, _analysis("bootstrap")),
+    ("splits", "3", 3, _analysis("reproduce", "--method", "pls")),
+    ("iterations", "3", 3, _analysis(*_DETECT, "--sample-sizes", "40")),
+    ("sample_sizes", "40,30", [40, 30], _analysis(*_DETECT, "--iterations", "2")),
+    ("alpha", "0.1", 0.1, _analysis(*_DETECT, "--sample-sizes", "40", "--iterations", "2")),
+    ("pca_components", "0.9", 0.9, _analysis("fit", "--method", "pls", "--permutations", "5",
+                                             "--bootstraps", "100", "--splits", "3")),
+    ("pca_components", "3", 3, _analysis("sweep", "--kind", "reproducibility",
+                                         "--sample-sizes", "60", "--iterations", "2",
+                                         "--splits", "3")),
+]
+
+
+def test_every_option_has_a_same_value_case():
+    assert {case[0] for case in SAME_VALUE} == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("key, flag, value, argv", SAME_VALUE,
+                         ids=[f"{case[0]}-{case[1]}" for case in SAME_VALUE])
+def test_a_flag_and_a_config_file_write_the_same_bytes(inputs, tmp_path, monkeypatch,
+                                                       key, flag, value, argv):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    written = {}
+    for source in ("flag", "config"):
+        run_dir = tmp_path / source
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if source == "flag":
+            options = ("--" + key.replace("_", "-"), flag)
+        else:
+            (run_dir / "cfg.json").write_text(json.dumps({key: value}), encoding="utf-8")
+            options = ("--config", "cfg.json")
+        assert main([*argv(inputs / "data"), *options]) == 0
+        written[source] = {str(p.relative_to(run_dir)): p.read_bytes()
+                           for p in sorted(run_dir.rglob("*"))
+                           if p.is_file() and p.name != "cfg.json"}
+    assert written["flag"]
+    assert written["flag"] == written["config"]

@@ -52,6 +52,12 @@ class TestLoadCsv:
         assert b.labels == ("a", "b")
         assert_allclose(b.values, [[1, 2], [3, 4], [5, 6]])
 
+    def test_repeated_label_refused_naming_both_columns(self, tmp_path):
+        # a bundle's long tables key rows by label, so labels are unique within a block
+        p = write_text(tmp_path / "d.csv", "a,b,a\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="label 'a' names columns 1 and 3"):
+            load_csv(p)
+
     def test_blank_cell_coordinates(self, tmp_path):
         p = write_text(tmp_path / "d.csv", "a,b\n1,2\n3,\n5,6\n")
         with pytest.raises(NonNumericCell) as err:
@@ -221,12 +227,15 @@ class TestReportDocument:
         [json_path] = write_report(doc, tmp_path, stem="rep", format="json")
         assert json_path.read_text(encoding="utf-8") == doc.to_json()
         paths = write_report(doc, tmp_path, stem="rep", format="csv")
-        names = {p.name for p in paths}
-        assert "metadata.json" in names
-        assert "subsample_cells.csv" in names
-        assert "any_lv_rejection.csv" in names
-        header = (tmp_path / "rep" / "subsample_cells.csv").read_text().splitlines()[0]
+        assert [p.name for p in paths] == [
+            "metadata.json", "subsample.cells.csv", "subsample.any_lv.csv"]
+        header = (tmp_path / "rep" / "subsample.cells.csv").read_text().splitlines()[0]
         assert header.startswith("method,sample_size,lv,status,detectability")
+        # the section's scalars, which no table holds, are in metadata.json
+        scalars = {k: v for k, v in doc.section("subsample").items()
+                   if k not in ("cells", "any_lv")}
+        assert set(scalars) == {"kind", "alpha", "n_iterations", "lv_count"}
+        assert json.loads(paths[0].read_text())["sections"] == {"subsample": scalars}
 
 
 class TestPlotData:
@@ -625,9 +634,18 @@ class TestCli:
                         "--permutations", "15", "--bootstraps", "100", "--splits", "6",
                         "--seed", "2", "--format", "csv", "--out-dir", str(out)) == 0
         bundle = out / "fit"
-        assert (bundle / "metadata.json").exists()
-        assert (bundle / "singular_values_pls.csv").exists()
-        assert (bundle / "stable_weights_cca.csv").exists()
+        per_method = [f"full_sample.per_method.{m}.{t}.csv" for m in ("pls", "cca")
+                      for t in ("bootstrap.x", "bootstrap.y", "permutation", "train_test",
+                                "split_half")]
+        assert sorted(p.name for p in bundle.iterdir()) == sorted([
+            "metadata.json", "full_sample.x_labels.csv", "full_sample.y_labels.csv",
+            "full_sample.per_method.cca.bartlett.csv", *per_method])
+        # a degenerate z is flagged, not only an empty cell, and n_failed is kept
+        train_test = bundle / "full_sample.per_method.pls.train_test.csv"
+        assert train_test.read_text().splitlines()[0] == "lv,z,degenerate"
+        meta = json.loads((bundle / "metadata.json").read_text())["sections"]
+        assert meta["full_sample"]["per_method"]["pls"]["train_test"] == {
+            "n_failed": 0, "n_split": 6}
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_fit_reports_cca_not_run_for_collinear_block(self, tmp_path, swap):
@@ -688,25 +706,18 @@ class TestCli:
                         "--iterations", "5", "--out-dir", str(tmp_path / "out")) == 2
         assert "column 'rare' is constant" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ("permute", "--permutations", "20"),
-        ("bootstrap", "--bootstraps", "100"),
-        ("reproduce", "--splits", "4", "--null-calibrate"),
-    ], ids=["permute", "bootstrap", "reproduce"])
-    def test_csv_bundle_section_files_are_the_report_sections_in_canonical_json(
-            self, tmp_path, command):
-        data = tmp_path / "d"
-        self.run("simulate", "null", "--n", "80", "--p", "3", "--q", "2",
-                 "--seed", "6", "--out-dir", str(data))
-        args = (*command, "--x", str(data / "x.csv"), "--y", str(data / "y.csv"), "--seed", "3")
-        assert self.run(*args, "--out-dir", str(tmp_path / "j")) == 0
-        assert self.run(*args, "--format", "csv", "--out-dir", str(tmp_path / "c")) == 0
-        report = json.loads((tmp_path / "j" / f"{command[0]}.json").read_text())
-        bundle = tmp_path / "c" / command[0]
-        assert report["sections"]
-        for name, section in report["sections"].items():
-            expected = json.dumps(section, sort_keys=True, indent=2, allow_nan=False) + "\n"
-            assert (bundle / f"{name}.json").read_text(encoding="utf-8") == expected
+    def test_bootstrap_giving_up_names_the_last_draws_cause(self, tmp_path, capsys):
+        # 12 rows resampled rarely hold 10 distinct ones, so X fails the rank guard
+        rng = np.random.default_rng(0)
+        x = write_block_csv(DataBlock(rng.normal(size=(12, 10)),
+                                      tuple(f"x{j}" for j in range(10))), tmp_path / "x.csv")
+        y = write_block_csv(DataBlock(rng.normal(size=(12, 2)), ("y1", "y2")), tmp_path / "y.csv")
+        capsys.readouterr()
+        assert self.run("bootstrap", "--method", "cca", "--x", str(x), "--y", str(y),
+                        "--bootstraps", "100", "--out-dir", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "100 degenerate draws in a row" in err
+        assert "the last: within-block correlation of 'x' is rank deficient" in err
 
     def test_pca_component_count_capped_alike_in_fit_and_scores(self, tmp_path):
         data = tmp_path / "d"
