@@ -153,8 +153,6 @@ def _resolve(args, key):
 def _effective(args) -> dict:
     """The resolved value of each option the subcommand's parser defines."""
     out = {k: _resolve(args, k) for k in _OPTIONS if k in vars(args)}
-    if out.get("sample_sizes") == ():
-        raise ValueError("--sample-sizes must list at least one sample size")
     if "threads" in out and out["threads"] is None:
         out["threads"] = default_threads()
     if out.get("pca_components") is not None:
@@ -443,10 +441,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _load_config_file(args)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's status: 2 for a refused flag, 0 for --help
+        return exc.code
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

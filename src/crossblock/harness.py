@@ -2,8 +2,9 @@
 
 The subsampling studies draw row subsets without replacement from a large
 "population" dataset, re-run an analysis on every subset, and aggregate by
-sample size. All three run through ``_sweep``, which owns the draws, the
-PCA reference, the CCA size guard, skip capture and the cells; a study
+sample size. All three run through ``_sweep``, which owns the PCA
+reference, the CCA size guard, skip capture and the cells, and draws through
+``parallel._map_subsamples``, as ``pca.pca_stability`` does. A study
 supplies only its per-subsample assessment and its summary:
 
 * detectability: the fraction of subsamples in which an LV's permutation
@@ -26,7 +27,8 @@ the same bar. In the full-sample analysis a rank-deficient X or Y block
 makes CCA not-run with a reason naming the block; PLS results stand.
 
 The subsamples of one sample size are one batch drawn from the
-(seed, "subsample", size) generator, and each subsample's permutations come
+(seed, "subsample", size) generator (``pca_stability``'s key is
+(seed, "pca-stability", size)), and each subsample's permutations come
 from a seed derived from (seed, purpose, size, iteration). Reports are
 therefore a pure function of (population data, config) for any thread
 count. Both methods see identical draws, which keeps their comparison
@@ -53,7 +55,7 @@ from .inference import (
     permutation_matrix,
     permutation_test,
 )
-from .parallel import map_draws
+from .parallel import _check_sample_sizes, _map_subsamples
 from .pca import PcaModel, align_to_reference, component_scores, fit_pca, fit_reduction
 from .reproducibility import (
     SplitHalfReport,
@@ -61,7 +63,7 @@ from .reproducibility import (
     split_half,
     train_test,
 )
-from .rng import derive_seed, substream
+from .rng import derive_seed
 
 NOT_RUN = "not-run"
 OK = "ok"
@@ -92,11 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(s) for s in self.sample_sizes))
         object.__setattr__(self, "methods", tuple(check_method(m) for m in self.methods))
-        if not self.sample_sizes or any(s < 2 for s in self.sample_sizes):
-            raise ValueError("sample_sizes must list at least one size, each at least 2")
-        for i, size in enumerate(self.sample_sizes):
-            if size in self.sample_sizes[:i]:
-                raise ValueError(f"sample size {size} is listed more than once")
+        _check_sample_sizes(self.sample_sizes, None)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         for name in ("n_iterations", "n_perm"):
@@ -204,14 +202,6 @@ def split_half_lv_z(report: SplitHalfReport) -> np.ndarray:
     return np.minimum(report.z_u, report.z_v)
 
 
-def _reduce_x(x: DataBlock, config: ExperimentConfig):
-    """Population PCA reduction of the X block when configured."""
-    if config.pca_pre is None:
-        return x, None, None
-    model, n_keep = fit_reduction(x, config.pca_pre)
-    return component_scores(x, model, n_keep), model, n_keep
-
-
 def _cca_sample_guard(n_rows: int, p: int, half: bool) -> str | None:
     """Reason the within-block adjustment cannot be attempted, or None: the
     sample, and with ``half`` (split-based assessments) each half too, must
@@ -235,7 +225,9 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
     other method's results stand. Each method's block pair is prepared once,
     for all its resamplers.
     """
-    x_used, pca_model, n_keep = _reduce_x(x, config)
+    reduction = None if config.pca_pre is None else fit_reduction(x, config.pca_pre)
+    pca_model, n_keep = reduction or (None, None)
+    x_used = component_scores(x, *reduction) if reduction else x
     entries = []
     for method in config.methods:
         reason = _cca_sample_guard(x_used.n, x_used.k, half=True) if method == CCA else None
@@ -287,26 +279,6 @@ def run_full_sample(x: DataBlock, y: DataBlock, config: ExperimentConfig) -> Ful
     )
 
 
-def _check_population(x: DataBlock, y: DataBlock, config: ExperimentConfig):
-    if x.n != y.n:
-        raise ValueError(f"x has {x.n} rows, y has {y.n}")
-    if max(config.sample_sizes) > x.n:
-        raise ValueError(
-            f"largest sample size {max(config.sample_sizes)} exceeds the "
-            f"population row count {x.n}"
-        )
-
-
-def _subsample_draw(seed: int, size: int, n: int):
-    """Draw function for one sample size's batch of row subsets.
-
-    Subsample i is the i-th ``choice(n, size, replace=False)`` taken from
-    the (seed, "subsample", size) generator.
-    """
-    batch = substream(seed, "subsample", size)
-    return lambda k: [batch.choice(n, size, replace=False) for _ in range(k)]
-
-
 def _subsample_blocks(x, y, idx, pca_reference):
     """Materialize one subsample, re-fitting and aligning the PCA reduction."""
     xs = DataBlock(x.values.take(idx, axis=0), x.labels)
@@ -332,18 +304,20 @@ def _sweep(x, y, config, kind, evaluate, summarize) -> SubsampleReport:
     outcomes into per-LV cell fields and, under "any_lv", the any-LV
     fraction that studies other than reproducibility report.
     """
-    _check_population(x, y, config)
+    if x.n != y.n:
+        raise ValueError(f"x has {x.n} rows, y has {y.n}")
     pca_reference = None if config.pca_pre is None else fit_reduction(x, config.pca_pre)
     p_effective = pca_reference[1] if pca_reference else x.k
     r = min(p_effective, y.k)
-    cells = []
-    any_cells = []
-    for size in config.sample_sizes:
-        guard = _cca_sample_guard(size, p_effective, half=kind == "reproducibility")
-        blocked = {m: guard if m == CCA else None for m in config.methods}
-        live = [m for m in config.methods if blocked[m] is None]
+    guards = {size: _cca_sample_guard(size, p_effective, half=kind == "reproducibility")
+              for size in config.sample_sizes}
 
-        def one(i: int, idx: np.ndarray):
+    def at_size(size):
+        live = [m for m in config.methods if m != CCA or guards[size] is None]
+        if not live:
+            return None
+
+        def one(i: int, idx: np.ndarray, _):
             # a skip keeps its exception without the traceback, whose frames
             # would pin the subsample's blocks and permutations
             try:
@@ -359,24 +333,27 @@ def _sweep(x, y, config, kind, evaluate, summarize) -> SubsampleReport:
                     out[method] = exc.with_traceback(None)
             return out
 
-        results = map_draws(
-            lambda start, stack: [one(start + j, idx) for j, idx in enumerate(stack)],
-            _subsample_draw(config.seed, size, x.n), config.n_iterations,
-            size * (x.k + y.k), config.threads,
-        ) if live else []
+        return one
+
+    cells, any_cells = [], []
+    for size, results in _map_subsamples(
+        at_size, x.n, config.sample_sizes, config.seed, "subsample", x.k + y.k, 0,
+        config.n_iterations, config.threads,
+    ):
         for method in config.methods:
-            outcomes = [res[method] for res in results] if method in live else []
+            outcomes = [res[method] for res in results if method in res]
             done = [o for o in outcomes if not isinstance(o, Exception)]
             skips = [str(o) for o in outcomes if isinstance(o, Exception)]
             stats = summarize(done) if done else {}
             fraction = stats.pop("any_lv", None)
             status = OK if done else NOT_RUN
+            blocked = guards[size] if method == CCA else None
             for lv in range(1, r + 1):
                 cells.append(
                     SubsampleCell(
                         method=method, sample_size=size, lv=lv, status=status,
                         n_completed=len(done), n_skipped=config.n_iterations - len(done),
-                        skip_reason=blocked[method] or (skips[0] if skips else None),
+                        skip_reason=blocked or (skips[0] if skips else None),
                         **{name: float(v[lv - 1]) for name, v in stats.items()},
                     )
                 )

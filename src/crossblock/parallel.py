@@ -8,6 +8,8 @@ lifting happens inside BLAS/LAPACK calls that release the GIL.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .rng import substream
+
 # Every resampler's one working-set budget: the most elements a stack of draws gathers.
 _DRAW_CHUNK_ELEMENTS = 1 << 18
 
@@ -57,3 +59,43 @@ def map_draws(fn, draw, n_items: int, draw_size: int, threads: int = 1) -> list:
         for part in parallel_map(lambda j: fn(*stacks[j]), len(stacks), threads):
             results += part
     return results
+
+
+def _check_sample_sizes(sample_sizes, n) -> None:
+    """The sample-size rule: at least one size, none repeated, each in [2, n]
+    (n is None where the population is not known yet)."""
+    if len(sample_sizes) == 0 or min(sample_sizes) < 2:
+        raise ValueError("sample_sizes (--sample-sizes) must list at least one size, "
+                         "each at least 2")
+    repeated = [s for i, s in enumerate(sample_sizes) if s in sample_sizes[:i]]
+    if repeated:
+        raise ValueError(f"sample size {repeated[0]} is listed more than once")
+    if n is not None and max(sample_sizes) > n:
+        raise ValueError(f"sample size {max(sample_sizes)} exceeds the population's {n} rows")
+
+
+def _map_subsamples(at_size, n, sample_sizes, seed, purpose, row_elements, signs, n_draws,
+                    threads):
+    """Yield ``(size, results)`` per sample size of ``_check_sample_sizes``:
+    ``at_size(size)(i, rows, orientation)`` of ``n_draws`` row subsets of an
+    n-row population, or [] and no draw where ``at_size`` returns None. Draw
+    i is the i-th ``choice(n, size, replace=False)`` of the (seed, purpose,
+    size) generator, then ``signs`` random +-1 orientation signs (None when
+    0); it gathers ``size * row_elements`` elements."""
+    _check_sample_sizes(sample_sizes, n)
+    for size in sample_sizes:
+        one = at_size(size)
+        if one is None:
+            yield size, []
+            continue
+        batch = substream(seed, purpose, size)
+
+        def draw(k):
+            return [(batch.choice(n, size, replace=False),
+                     batch.integers(0, 2, signs) * 2.0 - 1.0 if signs else None)
+                    for _ in range(k)]
+
+        yield size, map_draws(
+            lambda start, stack: [one(start + j, *d) for j, d in enumerate(stack)],
+            draw, n_draws, size * row_elements, threads,
+        )

@@ -19,9 +19,8 @@ import numpy as np
 
 from .blocks import _CONSTANT_SD, DataBlock, _constant_errors, _zscored
 from .errors import ShapeMismatch, unwrap
-from .parallel import map_draws
+from .parallel import _map_subsamples
 from .reproducibility import _distribution_z
-from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,9 @@ def pca_stability(
     component at the same position is recorded; z = mean / sd of that
     distribution.
 
-    Draw i of a sample size is the i-th (row subset, orientation) pair taken
-    from the (seed, "pca-stability", size) generator. Each subsample's
+    Draw i of a sample size is the i-th (row subset, orientation) pair that
+    the sweeps' driver ``parallel._map_subsamples`` takes from the (seed,
+    "pca-stability", size) generator. Each subsample's
     eigenvectors are given that explicitly random orientation, reproducing
     the arbitrary per-fit reflections that resampled eigenvectors carry in
     general (the orientation an eigensolver happens to return is not
@@ -182,48 +182,28 @@ def pca_stability(
     if n_iter < 2:
         raise ValueError("n_iter (--iterations) must be at least 2 for a z score")
     pop = fit_pca(population)
-    n = population.n
     if n_pc < 1 or n_pc > pop.k:
         raise ValueError(f"n_pc (--pca-components, default 2) must be in [1, {pop.k}]")
-    for i, size in enumerate(sample_sizes):
-        if not 2 <= size <= n:
-            raise ValueError(f"sample size {size} not in [2, {n}]")
-        if size in sample_sizes[:i]:
-            raise ValueError(f"sample size {size} is listed more than once")
     ref = pop.eigenvectors[:, :n_pc]
     values = population.values
 
-    mean = np.empty((len(sample_sizes), n_pc))
-    sd, z = np.empty_like(mean), np.empty_like(mean)
-    for row, size in enumerate(sample_sizes):
-        batch = substream(seed, "pca-stability", size)
+    def one(i, idx, orientation):
+        vecs = _fit_values(values.take(idx, axis=0), population.labels).eigenvectors * orientation
+        if with_alignment:
+            cosines = np.einsum("ij,ij->j", pop.eigenvectors, vecs)
+            vecs = vecs * np.where(cosines < 0, -1.0, 1.0)
+        return np.einsum("ij,ij->j", ref, vecs[:, :n_pc])
 
-        def draw(k: int):
-            return [
-                (batch.choice(n, size, replace=False), batch.integers(0, 2, pop.k) * 2.0 - 1.0)
-                for _ in range(k)
-            ]
-
-        def one(d):
-            idx, orientation = d
-            vecs = _fit_values(values.take(idx, axis=0), population.labels).eigenvectors
-            vecs = vecs * orientation
-            if with_alignment:
-                cosines = np.einsum("ij,ij->j", pop.eigenvectors, vecs)
-                vecs = vecs * np.where(cosines < 0, -1.0, 1.0)
-            return np.einsum("ij,ij->j", ref, vecs[:, :n_pc])
-
-        draws = np.stack(map_draws(lambda _, stack: [one(d) for d in stack], draw, n_iter,
-                                   size * pop.k, threads))
-        mean[row] = draws.mean(axis=0)
-        sd[row] = draws.std(axis=0, ddof=1)
-        z[row], _ = _distribution_z(draws)
+    draws = [np.stack(cosines) for _, cosines in _map_subsamples(
+        lambda size: one, population.n, sample_sizes, seed, "pca-stability", pop.k, pop.k,
+        n_iter, threads,
+    )]
     return PcaStabilityResult(
         sample_sizes=tuple(int(s) for s in sample_sizes),
         n_pc=n_pc,
         n_iter=n_iter,
         aligned=with_alignment,
-        mean=mean,
-        sd=sd,
-        z=z,
+        mean=np.array([d.mean(axis=0) for d in draws]),
+        sd=np.array([d.std(axis=0, ddof=1) for d in draws]),
+        z=np.array([_distribution_z(d)[0] for d in draws]),
     )

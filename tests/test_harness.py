@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import crossblock.parallel as parallel
 from crossblock import (
     DataBlock,
     ExperimentConfig,
@@ -94,6 +95,18 @@ class TestGuards:
         assert rep.cell(CCA, 12, 1).status == NOT_RUN
         assert "half-sample" in rep.cell(CCA, 12, 1).skip_reason
         assert rep.cell(PLS, 12, 1).status == OK
+
+    def test_a_size_at_which_every_method_is_blocked_draws_nothing(self, monkeypatch):
+        ds = small_structured()
+        keyed = []
+        monkeypatch.setattr(parallel, "substream",
+                            lambda *key, real=parallel.substream: keyed.append(key) or real(*key))
+        cfg = ExperimentConfig(sample_sizes=(20, 6), n_iterations=3, n_perm=10, methods=(CCA,),
+                               seed=3)
+        rep = run_detectability(ds.x, ds.y, cfg)
+        assert keyed == [(3, "subsample", 20)]
+        assert rep.cell(CCA, 6, 1).status == NOT_RUN and rep.cell(CCA, 6, 1).n_completed == 0
+        assert rep.cell(CCA, 20, 1).status == OK
 
     def test_reproducibility_lv_degenerate_everywhere_is_null_without_warning(self):
         # 4-row subsamples split into 2-row halves of single columns, whose

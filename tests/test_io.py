@@ -579,6 +579,31 @@ class TestCli:
         assert "sample size 50 is listed more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--kind", "fpr", "--fpr-n", "200", "--fpr-p", "4", "--fpr-q", "2",
+         "--permutations", "5"),
+        ("pca", "stability"),
+    ], ids=["sweep-fpr", "pca-stability"])
+    def test_a_sample_size_above_the_population_exits_2_naming_both(self, tmp_path, capsys,
+                                                                     command):
+        data = tmp_path / "d"
+        self.run("simulate", "null", "--n", "200", "--p", "4", "--q", "2",
+                 "--seed", "2", "--out-dir", str(data))
+        if command[0] == "pca":
+            command = (*command, "--x", str(data / "x.csv"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run(*command, "--sample-sizes", "9,250", "--iterations", "3",
+                        "--out-dir", str(out)) == 2
+        assert "sample size 250 exceeds the population's 200 rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_refused_flag_returns_2_and_help_returns_0(self, capsys):
+        assert self.run("permute", "--x", "a", "--y", "b", "--permutations", "x") == 2
+        assert "argument --permutations: invalid int value: 'x'" in capsys.readouterr().err
+        assert self.run("permute", "--help") == 0
+        assert "--permutations" in capsys.readouterr().out
+
     def test_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "d"
         self.run("simulate", "null", "--n", "6", "--p", "8", "--q", "2",

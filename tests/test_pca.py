@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from crossblock import (
     DataBlock,
+    ExperimentConfig,
     SimulationSpec,
     align_to_reference,
     component_scores,
@@ -216,3 +217,11 @@ class TestPcaStability:
         x = flat_spectrum_block(100, seed=18)
         with pytest.raises(ValueError):
             pca_stability(x, sample_sizes=(500,), n_iter=10, n_pc=2, seed=1)
+
+    def test_refuses_an_empty_size_list_as_the_sweeps_do(self):
+        x = flat_spectrum_block(100, seed=18)
+        with pytest.raises(ValueError, match="sample_sizes") as refused:
+            pca_stability(x, sample_sizes=(), n_iter=10, n_pc=2, seed=1)
+        with pytest.raises(ValueError) as sweep_refused:
+            ExperimentConfig(sample_sizes=())
+        assert str(refused.value) == str(sweep_refused.value)

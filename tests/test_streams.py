@@ -28,14 +28,26 @@ from crossblock import (
     train_test,
 )
 from crossblock.decomposition import NUMERICS_CONTRACT, PLS
-from crossblock.harness import _subsample_draw
 from crossblock.inference import permutation_matrix
-from crossblock.io import ReportDocument, full_sample_section, subsample_section
+from crossblock.io import (
+    ReportDocument,
+    full_sample_section,
+    pca_stability_section,
+    subsample_section,
+)
+from crossblock.parallel import _map_subsamples
 from crossblock.rng import STREAM_CONTRACT, derive_seed, permutation_rows, substream
 
 
 def assert_golden(actual, expected):
     assert_allclose(actual, expected, rtol=1e-9, atol=1e-12)
+
+
+def subsample_rows(seed, size, n, k):
+    """The rows of the sweeps' first k subsamples of one size, as the driver draws them."""
+    [(_, rows)] = _map_subsamples(lambda _: lambda i, idx, signs: idx, n, (size,), seed,
+                                  "subsample", 1, 0, k, 1)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +90,7 @@ class TestGolden:
         assert np.array_equal(permutation_matrix(4, 20, 13), reference)
 
     def test_subsample(self):
-        draws = _subsample_draw(11, 4, 30)(2)
+        draws = subsample_rows(11, 4, 30, 2)
         assert [d.tolist() for d in draws] == [[8, 6, 27, 20], [11, 14, 1, 24]]
 
     def test_bootstrap(self, blocks):
@@ -115,7 +127,7 @@ def test_detectability_shares_one_permutation_matrix_per_subsample():
     rep = run_detectability(ds.x, ds.y, cfg)
     for method in cfg.methods:
         hits = np.zeros(3)
-        for i, idx in enumerate(_subsample_draw(cfg.seed, 40, ds.x.n)(6)):
+        for i, idx in enumerate(subsample_rows(cfg.seed, 40, ds.x.n, 6)):
             res = permutation_test(
                 DataBlock(ds.x.values[idx], ds.x.labels),
                 DataBlock(ds.y.values[idx], ds.y.labels), method, n_perm=30,
@@ -180,6 +192,9 @@ def _report_bytes(kind: str, threads: int) -> bytes:
                            n_split=12, seed=23, threads=threads)
     if kind == "full":
         section = full_sample_section(run_full_sample(ds.x, ds.y, cfg))
+    elif kind == "pca-stability":
+        section = pca_stability_section(pca_stability(ds.x, sample_sizes=(60, 30), n_iter=5,
+                                                      seed=23, threads=threads))
     elif kind == "detectability":
         section = subsample_section(run_detectability(ds.x, ds.y, cfg))
     else:
@@ -188,7 +203,7 @@ def _report_bytes(kind: str, threads: int) -> bytes:
     return doc.to_json().encode()
 
 
-@pytest.mark.parametrize("kind", ["full", "detectability", "reproducibility"])
+@pytest.mark.parametrize("kind", ["full", "detectability", "reproducibility", "pca-stability"])
 def test_reports_identical_across_threads_and_chunk_sizes(kind, monkeypatch):
     reference = _report_bytes(kind, threads=1)
     for threads in (2, 8):
