@@ -20,20 +20,20 @@ designated_lv1 = set(ds.truth.relevant_predictors[0])
 print(f"designated predictors for dimension 1: {sorted(designated_lv1)}")
 
 result = bootstrap_ci(ds.x, ds.y, "pls", n_boot=300, seed=9, threads=2)
-stable = np.flatnonzero(result.us_stable[:, 0]) + 1
+stable = np.flatnonzero(result.x.stable[:, 0]) + 1
 print(f"\nstable X weights on LV1 ({len(stable)} of 50):")
 print(f"  {sorted(int(i) for i in stable)}")
 hits = len(set(stable.tolist()) & designated_lv1)
 print(f"  {hits}/{len(stable)} of them are designated carriers")
 
 print("\nweight intervals for the first six X variables on LV1:")
-for i in range(6):
-    lo = result.us_lower[i, 0]
-    hi = result.us_upper[i, 0]
-    flag = "stable" if result.us_stable[i, 0] else "  -   "
-    print(f"  x{i + 1}: {result.observed_us[i, 0]:+.3f}  [{lo:+.3f}, {hi:+.3f}]  {flag}")
+block = result.x
+for i, label in enumerate(block.labels[:6]):
+    flag = "stable" if block.stable[i, 0] else "  -   "
+    print(f"  {label}: {block.observed[i, 0]:+.3f}  "
+          f"[{block.lower[i, 0]:+.3f}, {block.upper[i, 0]:+.3f}]  {flag}")
 
 print("\nY-side stable weights per LV:")
 for lv in range(4):
-    stable_y = np.flatnonzero(result.vs_stable[:, lv]) + 1
-    print(f"  LV{lv + 1}: {['y%d' % i for i in stable_y]}")
+    stable_y = [label for label, s in zip(result.y.labels, result.y.stable[:, lv]) if s]
+    print(f"  LV{lv + 1}: {stable_y}")

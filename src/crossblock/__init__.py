@@ -36,6 +36,7 @@ from .harness import (
 )
 from .inference import (
     BartlettResult,
+    BlockIntervals,
     BootstrapResult,
     PermutationResult,
     bartlett_test,

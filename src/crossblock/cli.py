@@ -40,7 +40,6 @@ from .inference import bootstrap_ci, permutation_test
 from .io import (
     PLOT_KINDS,
     ReportDocument,
-    bootstrap_section,
     emit_plot_data,
     full_sample_section,
     load_csv,
@@ -66,17 +65,21 @@ FORMATS = ("json", "csv")
 METHODS = (PLS, CCA, "both")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _separated(parse, sep: str, expected: str):
+    """The parse type of a flag that lists values separated by ``sep``. A value
+    that ``parse`` cannot read refuses the flag, naming the ``expected`` form."""
+    def parse_flag(text: str) -> tuple:
+        try:
+            return tuple(parse(v) for v in text.split(sep) if v.strip())
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return parse_flag
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _groups(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse '1,2;3,4,6' into ((1, 2), (3, 4, 6))."""
-    return tuple(_int_list(group) for group in text.split(";") if group.strip())
+_int_list = _separated(int, ",", "comma-separated integers")
+_float_list = _separated(float, ",", "comma-separated numbers")
+# '1,2;3,4,6' parses into ((1, 2), (3, 4, 6))
+_groups = _separated(_int_list, ";", "';'-separated groups of comma-separated integers")
 
 
 def _pca_components(value):
@@ -342,7 +345,7 @@ def _cmd_bootstrap(args) -> int:
     for method in _methods(eff["method"]):
         res = bootstrap_ci(x, y, method, n_boot=eff["bootstraps"], seed=eff["seed"],
                            threads=eff["threads"])
-        sections[f"bootstrap_{method}"] = bootstrap_section(res, x.labels, y.labels)
+        sections[f"bootstrap_{method}"] = result_section(res, bulk=True)
     return _emit(eff, "bootstrap", sections, _echo(eff))
 
 

@@ -53,21 +53,24 @@ class PermutationResult:
 
 
 @dataclass(frozen=True)
+class BlockIntervals:
+    """One block's scaled weights (variables x LVs), by variable label, with
+    their percentile interval. A weight is stable when its interval excludes zero."""
+
+    labels: tuple[str, ...]
+    observed: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    stable: np.ndarray
+
+
+@dataclass(frozen=True)
 class BootstrapResult:
-    """Percentile confidence intervals for the scaled singular-vector weights.
+    """Percentile confidence intervals for the scaled singular-vector weights:
+    ``x`` holds U * s (p x r) and ``y`` holds V * s (q x r)."""
 
-    ``us_*`` matrices are p x r (X side), ``vs_*`` are q x r (Y side). A
-    weight is stable when its interval excludes zero.
-    """
-
-    observed_us: np.ndarray
-    observed_vs: np.ndarray
-    us_lower: np.ndarray
-    us_upper: np.ndarray
-    vs_lower: np.ndarray
-    vs_upper: np.ndarray
-    us_stable: np.ndarray
-    vs_stable: np.ndarray
+    x: BlockIntervals
+    y: BlockIntervals
     n_boot: int
 
 
@@ -247,19 +250,15 @@ def bootstrap_ci(
                       n * pair.data.shape[1], threads)
     us_draws = np.stack([d[0] for d in draws] + [us_obs])
     vs_draws = np.stack([d[1] for d in draws] + [vs_obs])
-    us_lower, us_upper = np.percentile(us_draws, [2.5, 97.5], axis=0)
-    vs_lower, vs_upper = np.percentile(vs_draws, [2.5, 97.5], axis=0)
-    return BootstrapResult(
-        observed_us=us_obs,
-        observed_vs=vs_obs,
-        us_lower=us_lower,
-        us_upper=us_upper,
-        vs_lower=vs_lower,
-        vs_upper=vs_upper,
-        us_stable=(us_lower > 0) | (us_upper < 0),
-        vs_stable=(vs_lower > 0) | (vs_upper < 0),
-        n_boot=n_boot,
-    )
+    return BootstrapResult(x=_intervals(x.labels, us_obs, us_draws),
+                           y=_intervals(y.labels, vs_obs, vs_draws), n_boot=n_boot)
+
+
+def _intervals(labels, observed: np.ndarray, draws: np.ndarray) -> BlockIntervals:
+    """The 95% percentile intervals of a (draw, variable, LV) stack."""
+    lower, upper = np.percentile(draws, [2.5, 97.5], axis=0)
+    return BlockIntervals(labels=labels, observed=observed, lower=lower, upper=upper,
+                          stable=(lower > 0) | (upper < 0))
 
 
 def bartlett_test(model: CrossBlockModel, n: int) -> BartlettResult:

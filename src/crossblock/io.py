@@ -6,14 +6,15 @@ non-finite values are stored as null. Serialize -> parse -> serialize is
 byte-identical, and because every random stream is seed-derived, rerunning
 a command with the same seed rewrites the same bytes.
 
-CSV files follow RFC-4180 conventions: UTF-8, a header row, comma
-separator, decimal points, no thousands separators.
+CSV files follow RFC-4180 conventions: UTF-8 (a leading byte-order mark is
+skipped on reading), a header row, comma separator, decimal points, no
+thousands separators.
 """
 
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .blocks import DataBlock
 from .decomposition import NUMERICS_CONTRACT
 from .errors import EmptyFile, MissingSection, NonNumericCell, RaggedRows
 from .harness import FullSampleResult, SubsampleReport
-from .inference import BootstrapResult
 from .pca import PcaStabilityResult
 from .rng import STREAM_CONTRACT
 
@@ -51,7 +51,7 @@ def load_csv(path) -> DataBlock:
     row of the file, the header and blank rows included.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # readline, not iteration, so that fh.tell() stays usable
         reader = csv.reader(iter(fh.readline, ""))
         labels = tuple(c.strip() for c in next((r for r in reader if r), ()))
@@ -77,7 +77,7 @@ def _parse_body(fh):
 
 def _scan_csv(path: Path) -> DataBlock:
     """Parse cell by cell, raising ParseErrors with 1-based file coordinates."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = [(i, r) for i, r in enumerate(csv.reader(fh), 1) if r]
     if not rows:
         raise EmptyFile(f"{path} contains no data")
@@ -213,29 +213,18 @@ _BULK_FIELDS = ("null_singular_values", "draws", "u_draws", "v_draws", "eigenvec
 
 
 def result_section(result, bulk: bool) -> dict:
-    """A result dataclass's fields by name, less ``_BULK_FIELDS`` unless ``bulk``."""
-    return {f.name: getattr(result, f.name) for f in fields(result)
+    """A result dataclass's fields by name, less ``_BULK_FIELDS`` unless ``bulk``;
+    a field holding a result, or a tuple of results, becomes sections by the same rule."""
+    return {f.name: _section_value(getattr(result, f.name), bulk) for f in fields(result)
             if bulk or f.name not in _BULK_FIELDS}
 
 
-def bootstrap_section(result: BootstrapResult, x_labels, y_labels) -> dict:
-    return {
-        "n_boot": result.n_boot,
-        "x": {
-            "labels": list(x_labels),
-            "observed": result.observed_us,
-            "lower": result.us_lower,
-            "upper": result.us_upper,
-            "stable": result.us_stable,
-        },
-        "y": {
-            "labels": list(y_labels),
-            "observed": result.observed_vs,
-            "lower": result.vs_lower,
-            "upper": result.vs_upper,
-            "stable": result.vs_stable,
-        },
-    }
+def _section_value(value, bulk: bool):
+    if is_dataclass(value):
+        return result_section(value, bulk)
+    if isinstance(value, tuple) and value and all(map(is_dataclass, value)):
+        return [result_section(v, bulk) for v in value]
+    return value
 
 
 def pca_stability_section(result: PcaStabilityResult) -> dict:
@@ -264,11 +253,8 @@ def full_sample_section(result: FullSampleResult) -> dict:
         if entry.status != "ok":
             per_method[entry.method] = {"status": entry.status, "reason": entry.reason}
             continue
-        section = {
-            "status": entry.status,
-            "bootstrap": bootstrap_section(entry.bootstrap, result.x_labels, result.y_labels),
-        }
-        for name in ("permutation", "train_test", "split_half"):
+        section = {"status": entry.status}
+        for name in ("bootstrap", "permutation", "train_test", "split_half"):
             section[name] = result_section(getattr(entry, name), bulk=False)
         if entry.bartlett is not None:
             section["bartlett"] = [result_section(t, bulk=False) for t in entry.bartlett.tests]
@@ -285,8 +271,7 @@ def full_sample_section(result: FullSampleResult) -> dict:
 
 
 def subsample_section(report: SubsampleReport) -> dict:
-    """The report's fields; each cell keyed by its dataclass field names."""
-    return asdict(report)
+    return result_section(report, bulk=False)
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +331,25 @@ def _tables(section: dict, path: tuple = ()) -> tuple[dict, dict]:
     - a list of records becomes one table, a column per key;
     - the 1-D arrays of one length share one table, keyed by a 1-based
       position column (``component`` in a ``pca`` dict, ``lv`` elsewhere);
-    - the (variable x LV) matrices of a dict with 1-D ``labels`` of their
-      row count become one long table: ``variable``, ``lv``, then a column
-      per matrix;
-    - any other matrix becomes a wide table: ``row``, then ``c1``..``ck``.
+    - the (variable x LV) matrices of a dict with ``labels`` of their row
+      count become one long table: ``variable``, ``lv``, then a column per
+      matrix;
+    - any other matrix becomes a wide table: ``row``, then ``c1``..``ck``;
+    - a list of labels (strings) that no long table consumes is one of the
+      values no table holds.
 
     A table is named by the path of what it holds: a dict's own tables (its
     arrays and long table) by the dict's path, followed by their first
     field's name when the dict has more than one.
     """
     shapes = {key: _shape(value) for key, value in section.items()}
-    labels = section["labels"] if shapes.get("labels") == "array" else ()
+    labels = section["labels"] if shapes.get("labels") == "labels" else ()
     long = {k: v for k, v in section.items() if shapes[k] == "matrix" and len(v) == len(labels)}
+    if long:
+        shapes["labels"] = "long"  # the long table's variable column
     groups = {}
     for key, value in section.items():
-        if shapes[key] == "array" and not (long and key == "labels"):
+        if shapes[key] == "array":
             groups.setdefault(len(value), {})[key] = value
     position = "component" if path[-1:] == ("pca",) else "lv"
     own = [(next(iter(g)), [position, *g],
@@ -386,14 +375,14 @@ def _tables(section: dict, path: tuple = ()) -> tuple[dict, dict]:
         elif shapes[key] == "matrix" and key not in long:
             tables[name] = (["row", *(f"c{j + 1}" for j in range(len(value[0])))],
                             [[i + 1, *row] for i, row in enumerate(value)])
-        elif shapes[key] is None:
+        elif shapes[key] in (None, "labels"):
             rest[key] = value
     return tables, rest
 
 
 def _shape(value):
-    """"dict", "records", "matrix" (rectangular), "array" (1-D), or None for
-    what no table holds: a scalar, an empty list or a ragged one."""
+    """"dict", "records", "matrix" (rectangular), "labels" (1-D, of strings),
+    "array" (1-D), or None for a scalar, an empty list or a ragged one."""
     if isinstance(value, dict):
         return "dict"
     if not isinstance(value, list) or not value:
@@ -402,7 +391,7 @@ def _shape(value):
         return "records"
     if all(isinstance(v, list) for v in value):
         return "matrix" if len({len(v) for v in value}) == 1 else None
-    return "array"
+    return "labels" if all(isinstance(v, str) for v in value) else "array"
 
 
 # ---------------------------------------------------------------------------

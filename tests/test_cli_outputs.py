@@ -90,9 +90,7 @@ PINNED = {
     "data/truth.json":
         "6c30ea5ff93cc4786755210d37a6f269f59ed398709b06472e5bd3aca0c12ca3",
     "fit/fit/metadata.json":
-        "d145834ca150f3776b4ce81418bd42d29d1635a95948cc2e79a2ad2f0d6b7088",
-    "fit/fit/full_sample.csv":
-        "24cc108a5312d72b2c48df2cdb0f850599a25bd34c5348ff4a2d15ae60f9d3f3",
+        "b17c09fc8d92c56cac9d5e645b1c58731f5174ff8fed1edc6a9d9b0f8e96ecbf",
     "fit/fit/full_sample.per_method.pls.bootstrap.x.csv":
         "b764932a1e6d2112446fb45c8561f652017e1850f266bfecea0602c352a68ff0",
     "fit/fit/full_sample.per_method.pls.bootstrap.y.csv":
@@ -188,11 +186,7 @@ PINNED = {
     "reproducecsv/reproduce/reproducibility_pls.null_split_half.v_draws.csv":
         "fef2cad9384dd45cb6eca20531db384e9d61062e3847fa3d1cd8db7be6b9634a",
     "fitpca/fit/metadata.json":
-        "fb455551bc1ced463d1bf9b03d871ead985b40a6e02860f393c38babd4bac696",
-    "fitpca/fit/full_sample.x_labels.csv":
-        "f33dfd9381022f13e314e77a6fc3eccd57d6436e006c1245e91ba0483542c872",
-    "fitpca/fit/full_sample.y_labels.csv":
-        "099a0027632ef0f2da6e10cbac587104d7198636b3e8dd5c26d3e843ccd6d42b",
+        "e18557d9acc6691f6cfb26d82ce45bbaf08f9e899dd4df728b83dbef4b2c74f5",
     "fitpca/fit/full_sample.per_method.pls.bootstrap.x.csv":
         "aedb00bf3e54a0dc01ce20a72e49b1891015a04a929dceab5438c2cad6499c1b",
     "fitpca/fit/full_sample.per_method.pls.bootstrap.y.csv":

@@ -158,7 +158,7 @@ class TestFullSample:
             entry = res.method(method)
             assert entry.status == OK
             assert entry.permutation.p_values.shape == (3,)
-            assert entry.bootstrap.us_stable.shape == (6, 3)
+            assert entry.bootstrap.x.stable.shape == (6, 3)
             assert entry.train_test.z.shape == (3,)
             assert entry.split_half.z_u.shape == (3,)
         assert res.method(CCA).bartlett is not None
@@ -185,6 +185,17 @@ class TestFullSample:
         # the Y within-block correlations
         gap = pls.permutation.singular_values - cca.permutation.singular_values
         assert np.abs(gap).max() < 0.01
+
+    def test_pca_pre_labels_the_bootstrap_rows_by_component(self):
+        # the bootstrap's X rows are the components the methods were fitted on
+        ds = small_structured(seed=2)
+        cfg = ExperimentConfig(n_perm=10, n_boot=100, n_split=4, pca_pre=3, seed=8)
+        res = run_full_sample(ds.x, ds.y, cfg)
+        for method in (PLS, CCA):
+            boot = res.method(method).bootstrap
+            assert boot.x.labels == res.x_labels == ("pc1", "pc2", "pc3")
+            assert boot.x.lower.shape[0] == 3
+            assert boot.y.labels == ds.y.labels
 
 
 class TestDeterminism:

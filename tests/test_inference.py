@@ -153,38 +153,38 @@ class TestBootstrap:
         x = DataBlock(xv[:, None], ("x",))
         y = DataBlock(xv[:, None].copy(), ("y",))
         res = bootstrap_ci(x, y, PLS, n_boot=100, seed=7)
-        assert_allclose(res.observed_us[0, 0], 1.0, atol=1e-12)
-        assert res.us_lower[0, 0] > 0.999
-        assert res.us_stable[0, 0] and res.vs_stable[0, 0]
+        assert_allclose(res.x.observed[0, 0], 1.0, atol=1e-12)
+        assert res.x.lower[0, 0] > 0.999
+        assert res.x.stable[0, 0] and res.y.stable[0, 0]
 
     def test_null_blocks_mostly_unstable(self):
         x, y = gaussian_blocks(11, 50, 4, 3)
         res = bootstrap_ci(x, y, PLS, n_boot=200, seed=5)
-        frac = (res.us_stable.mean() + res.vs_stable.mean()) / 2
+        frac = (res.x.stable.mean() + res.y.stable.mean()) / 2
         assert frac <= 0.15
 
     def test_interval_ordering_and_mask(self):
         x, y = gaussian_blocks(13, 80, 3, 2)
         res = bootstrap_ci(x, y, CCA, n_boot=120, seed=8)
-        assert np.all(res.us_lower <= res.us_upper)
-        assert np.all(res.vs_lower <= res.vs_upper)
-        expected = (res.us_lower > 0) | (res.us_upper < 0)
-        assert np.array_equal(res.us_stable, expected)
+        assert np.all(res.x.lower <= res.x.upper)
+        assert np.all(res.y.lower <= res.y.upper)
+        expected = (res.x.lower > 0) | (res.x.upper < 0)
+        assert np.array_equal(res.x.stable, expected)
 
     def test_stable_mask_invariant_to_column_rescaling(self):
         x, y = gaussian_blocks(17, 70, 3, 2)
         res = bootstrap_ci(x, y, PLS, n_boot=100, seed=2)
         x2 = DataBlock(x.values * np.array([3.0, 0.25, 10.0]) + 7.0, x.labels)
         res2 = bootstrap_ci(x2, y, PLS, n_boot=100, seed=2)
-        assert np.array_equal(res.us_stable, res2.us_stable)
-        assert np.array_equal(res.vs_stable, res2.vs_stable)
+        assert np.array_equal(res.x.stable, res2.x.stable)
+        assert np.array_equal(res.y.stable, res2.y.stable)
 
     def test_deterministic_across_threads(self):
         x, y = gaussian_blocks(19, 60, 3, 2)
         a = bootstrap_ci(x, y, PLS, n_boot=100, seed=3, threads=1)
         b = bootstrap_ci(x, y, PLS, n_boot=100, seed=3, threads=4)
-        assert np.array_equal(a.us_lower, b.us_lower)
-        assert np.array_equal(a.vs_upper, b.vs_upper)
+        assert np.array_equal(a.x.lower, b.x.lower)
+        assert np.array_equal(a.y.upper, b.y.upper)
 
     def test_stable_weights_concentrate_on_designated_predictors(self):
         spec = SimulationSpec(
@@ -193,7 +193,7 @@ class TestBootstrap:
         )
         ds = generate_relevant_subspace(spec)
         res = bootstrap_ci(ds.x, ds.y, PLS, n_boot=150, seed=4)
-        stable_lv1 = set(np.flatnonzero(res.us_stable[:, 0]) + 1)
+        stable_lv1 = set(np.flatnonzero(res.x.stable[:, 0]) + 1)
         designated = set(ds.truth.relevant_predictors[0])
         assert len(stable_lv1) >= 5
         assert len(stable_lv1 & designated) / len(stable_lv1) >= 0.8

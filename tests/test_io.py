@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from crossblock import (
     ExperimentConfig,
+    bootstrap_ci,
     fit_pca,
     generate_null,
     permutation_test,
@@ -90,6 +91,17 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(p)
 
+    @pytest.mark.parametrize("header", ["a,b", '"a",b'])
+    def test_a_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, header):
+        # Excel's "CSV UTF-8" export starts the file with one; the writers add none
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"\ufeff{header}\n1,2\n3,4\n".encode("utf-8"))
+        block = load_csv(path)
+        assert block.labels == ("a", "b")
+        assert_allclose(block.values, [[1, 2], [3, 4]])
+        assert not write_block_csv(block, tmp_path / "w.csv").read_bytes().startswith(
+            "\ufeff".encode("utf-8"))
+
     def test_round_trip_exact(self, tmp_path):
         ds = generate_null(60, 4, 2, seed=1)
         path = write_block_csv(ds.x, tmp_path / "x.csv")
@@ -156,6 +168,11 @@ class TestLoadCsvFastPath:
         ('a,b\n"1.5",2\n3,"-4"\n', [[1.5, 2], [3, -4]]),
         ("a,b\n1_000,2\n3,4\n", [[1000, 2], [3, 4]]),
         ("a,b\n\u0661\u0662,2\n3,\uff14\n", [[12, 2], [3, 4]]),
+        # a byte-order mark is not a cell, and the rows keep their numbers
+        ("\ufeffa,b\n1,2\nx,4\n", (NonNumericCell, 3, 1)),
+        ("\ufeff\na,b\n1,2\n3,x\n", (NonNumericCell, 4, 2)),
+        ("\ufeffa,b\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ('\ufeff"a",b\n1,2\n3,4\n', [[1, 2], [3, 4]]),
     ])
     def test_edge_cases_match_the_scan(self, tmp_path, text, expected):
         path = tmp_path / "d.csv"
@@ -221,6 +238,18 @@ class TestReportDocument:
             section = result_section(result, bulk=True)
             assert set(section) == light | draws
             assert all(section[name] is getattr(result, name) for name in section)
+        # a field holding a result is that result's section, by the same rule
+        boot = bootstrap_ci(ds.x, ds.y, "pls", n_boot=100, seed=5)
+        for bulk in (False, True):
+            section = result_section(boot, bulk)
+            assert set(section) == {"n_boot", "x", "y"}
+            assert section["n_boot"] == 100
+            for block in ("x", "y"):
+                intervals = getattr(boot, block)
+                assert set(section[block]) == {"labels", "observed", "lower", "upper", "stable"}
+                assert all(value is getattr(intervals, name)
+                           for name, value in section[block].items())
+        assert (boot.x.labels, boot.y.labels) == (ds.x.labels, ds.y.labels)
 
     def test_write_json_and_csv_bundle(self, tmp_path):
         doc = self.build_sample_report()
@@ -604,6 +633,20 @@ class TestCli:
         assert self.run("permute", "--help") == 0
         assert "--permutations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--kind", "fpr", "--sample-sizes", "500,abc"),
+         "argument --sample-sizes: expected comma-separated integers, got '500,abc'"),
+        (("simulate", "subspace", "--r2", "0.2,x"),
+         "argument --r2: expected comma-separated numbers, got '0.2,x'"),
+        (("simulate", "subspace", "--relpos", "1,x"),
+         "argument --relpos: expected ';'-separated groups of comma-separated integers, "
+         "got '1,x'"),
+    ], ids=["int-list", "float-list", "groups"])
+    def test_a_refused_list_flag_names_the_expected_form(self, tmp_path, capsys, argv, message):
+        assert self.run(*argv, "--out-dir", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "d"
         self.run("simulate", "null", "--n", "6", "--p", "8", "--q", "2",
@@ -663,14 +706,16 @@ class TestCli:
                       for t in ("bootstrap.x", "bootstrap.y", "permutation", "train_test",
                                 "split_half")]
         assert sorted(p.name for p in bundle.iterdir()) == sorted([
-            "metadata.json", "full_sample.x_labels.csv", "full_sample.y_labels.csv",
-            "full_sample.per_method.cca.bartlett.csv", *per_method])
+            "metadata.json", "full_sample.per_method.cca.bartlett.csv", *per_method])
         # a degenerate z is flagged, not only an empty cell, and n_failed is kept
         train_test = bundle / "full_sample.per_method.pls.train_test.csv"
         assert train_test.read_text().splitlines()[0] == "lv,z,degenerate"
         meta = json.loads((bundle / "metadata.json").read_text())["sections"]
         assert meta["full_sample"]["per_method"]["pls"]["train_test"] == {
             "n_failed": 0, "n_split": 6}
+        # the block labels sit with the values no table holds, whatever the block widths
+        assert meta["full_sample"]["x_labels"] == ["x1", "x2", "x3"]
+        assert meta["full_sample"]["y_labels"] == ["y1", "y2"]
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_fit_reports_cca_not_run_for_collinear_block(self, tmp_path, swap):

@@ -62,7 +62,7 @@ def test_near_collinear_cca_matches_the_qr_oracle():
     for got in (s, permutation_test(x, y, CCA, n_perm=1).singular_values,
                 fit_cca(x, y).s):
         assert np.abs(got - exact).max() <= QR_TOL
-    observed = bootstrap_ci(x, y, CCA, n_boot=100, seed=1).observed_us
+    observed = bootstrap_ci(x, y, CCA, n_boot=100, seed=1).x.observed
     assert np.abs(np.linalg.norm(observed, axis=0) - exact).max() <= QR_TOL
 
 

@@ -254,8 +254,8 @@ def test_bootstrap_ci(data, method):
     x, y = DATA[data]()
     res = bootstrap_ci(x, y, method, n_boot=120, seed=9)
     (us_lo, us_hi, vs_lo, vs_hi), redrawn = ref_bootstrap(x, y, method, 120, 9)
-    for got, want in ((res.us_lower, us_lo), (res.us_upper, us_hi),
-                      (res.vs_lower, vs_lo), (res.vs_upper, vs_hi)):
+    for got, want in ((res.x.lower, us_lo), (res.x.upper, us_hi),
+                      (res.y.lower, vs_lo), (res.y.upper, vs_hi)):
         close(got, want, TOL[method])
     if data != "signal" and (data == "sparse-column" or method == CCA):
         assert redrawn > 0  # the case reaches the retry path

@@ -51,10 +51,12 @@ def blocks(n=120, p=4, q=3, seed=0):
 
 
 def arrays(result):
-    """Every array of a result (or a tuple of results), as bytes."""
-    results = result if isinstance(result, tuple) else (result,)
-    return [np.asarray(getattr(r, f.name)).tobytes() for r in results
-            for f in dataclasses.fields(r)]
+    """Every array of a result (or a tuple of results, or a result a field holds), as bytes."""
+    if isinstance(result, tuple):
+        return [a for r in result for a in arrays(r)]
+    if dataclasses.is_dataclass(result):
+        return [a for f in dataclasses.fields(result) for a in arrays(getattr(result, f.name))]
+    return [np.asarray(result).tobytes()]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

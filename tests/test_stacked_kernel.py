@@ -104,7 +104,7 @@ def draw_bytes(x, y, threads):
         perm = permutation_test(x, y, method, n_perm=20, seed=3, threads=threads)
         arrays.append(perm.null_singular_values)
         boot = bootstrap_ci(x, y, method, n_boot=100, seed=3, threads=threads)
-        arrays += [boot.us_lower, boot.us_upper, boot.vs_lower, boot.vs_upper]
+        arrays += [boot.x.lower, boot.x.upper, boot.y.lower, boot.y.upper]
         arrays.append(train_test(x, y, method, n_split=6, seed=3, threads=threads).draws)
         half = split_half(x, y, method, n_split=6, seed=3, threads=threads)
         tt, sh = null_calibration(x, y, method, n_split=4, seed=3, threads=threads)

@@ -95,11 +95,11 @@ class TestGolden:
 
     def test_bootstrap(self, blocks):
         res = bootstrap_ci(*blocks, PLS, n_boot=100, seed=11)
-        assert_golden(res.us_lower[:, 0], [-0.285902609787, -0.278690957889, -0.032197999724])
+        assert_golden(res.x.lower[:, 0], [-0.285902609787, -0.278690957889, -0.032197999724])
 
     def test_bootstrap_retry(self):
         res = bootstrap_ci(*degenerate_prone_blocks(), PLS, n_boot=100, seed=11)
-        assert_golden(res.us_upper[:, 0], [0.222425993405, 0.579969724101])
+        assert_golden(res.x.upper[:, 0], [0.222425993405, 0.579969724101])
 
     def test_train_test(self, blocks):
         rep = train_test(*blocks, PLS, n_split=5, seed=11)
